@@ -898,26 +898,34 @@ let trace_validate_cmd =
   let files_arg =
     let doc =
       "Files to validate: *.json as Chrome trace-event documents \
-       (mmb-trace/1), everything else as provenance JSONL \
-       (mmb-provenance/1)."
+       (mmb-trace/1), everything else as JSONL by its schema stamp: \
+       metrics (mmb-metrics/1) or provenance (mmb-provenance/1)."
     in
     Arg.(non_empty & pos_all file [] & info [] ~docv:"FILE" ~doc)
+  in
+  let validate file =
+    let ( let* ) = Result.bind in
+    let* text = Dsim.Json.read_file file in
+    if Filename.check_suffix file ".json" then
+      Result.map
+        (Printf.sprintf "%d trace events")
+        (Obs.Tracing.validate_string text)
+    else
+      let* stamp = Dsim.Json.jsonl_schema text in
+      if String.equal stamp Obs.Observer.schema then
+        Result.map
+          (Printf.sprintf "%d metrics lines")
+          (Dsim.Json.validate_jsonl ~schema:stamp text)
+      else
+        Result.map
+          (Printf.sprintf "%d provenance lines")
+          (Obs.Provenance.validate_string text)
   in
   let action files =
     let rec go = function
       | [] -> `Ok ()
       | file :: rest -> (
-          let verdict =
-            if Filename.check_suffix file ".json" then
-              Result.map
-                (Printf.sprintf "%d trace events")
-                (Obs.Tracing.validate_file ~path:file)
-            else
-              Result.map
-                (Printf.sprintf "%d provenance lines")
-                (Obs.Provenance.validate_file ~path:file)
-          in
-          match verdict with
+          match validate file with
           | Ok desc ->
               Printf.printf "%s: OK (%s)\n" file desc;
               go rest
@@ -929,7 +937,7 @@ let trace_validate_cmd =
   Cmd.v
     (Cmd.info "trace-validate"
        ~doc:
-         "Check trace/provenance exports for schema and shape (the \
+         "Check trace/provenance/metrics exports for schema and shape (the \
           verify.sh trace smoke gate).")
     term
 

@@ -97,13 +97,15 @@ else
     gate "bench/perf --smoke" \
       sh -c 'dune exec bench/perf/perf.exe -- --smoke > /dev/null'
 
-    # Trace smoke: a tiny run must produce Perfetto and provenance
-    # exports that self-validate (schema + per-event shape).
-    gate "trace smoke (run --trace-out/--provenance + trace-validate)" \
+    # Trace smoke: a tiny run must produce Perfetto, provenance and
+    # metrics exports that self-validate (schema + per-event shape).
+    gate "trace smoke (run --trace-out/--provenance/--metrics + trace-validate)" \
       sh -c 'T=$(mktemp -d) && trap "rm -rf $T" 0 &&
         dune exec bin/mmb_sim.exe -- run -t line -n 10 -k 2 --seed 3 \
-          --trace-out "$T/trace.json" --provenance "$T/prov.jsonl" >/dev/null &&
-        dune exec bin/mmb_sim.exe -- trace-validate "$T/trace.json" "$T/prov.jsonl"'
+          --trace-out "$T/trace.json" --provenance "$T/prov.jsonl" \
+          --metrics "$T/metrics.jsonl" >/dev/null &&
+        dune exec bin/mmb_sim.exe -- trace-validate "$T/trace.json" \
+          "$T/prov.jsonl" "$T/metrics.jsonl"'
 
     # Perf-regression diff over the last two recorded BENCH_PERF entries.
     # Advisory: entries come from different machines/sessions, so a drop
@@ -112,7 +114,7 @@ else
       sh -c 'dune exec bin/mmb_perf_diff.exe -- BENCH_PERF.json'
   else
     skip "bench/perf --smoke" "--quick"
-    skip "trace smoke (run --trace-out/--provenance + trace-validate)" "--quick"
+    skip "trace smoke (run --trace-out/--provenance/--metrics + trace-validate)" "--quick"
     skip "perf-diff (last two BENCH_PERF.json entries)" "--quick"
   fi
 

@@ -185,12 +185,12 @@ let parse src =
   | exception Parse_error (pos, msg) ->
       Error (Printf.sprintf "offset %d: %s" pos msg)
 
-let escape_string s =
-  let buf = Buffer.create (String.length s + 2) in
+(* --- The one serializer (number and string forms: see the .mli) ----- *)
+
+let add_string buf s =
   Buffer.add_char buf '"';
   String.iter
-    (fun c ->
-      match c with
+    (function
       | '"' -> Buffer.add_string buf {|\"|}
       | '\\' -> Buffer.add_string buf {|\\|}
       | '\n' -> Buffer.add_string buf {|\n|}
@@ -200,25 +200,76 @@ let escape_string s =
           Buffer.add_string buf (Printf.sprintf {|\u%04x|} (Char.code c))
       | c -> Buffer.add_char buf c)
     s;
-  Buffer.add_char buf '"';
+  Buffer.add_char buf '"'
+
+(* The C formatter behind Printf's %g, minus Printf's format
+   interpretation: the same bytes for every float. *)
+external format_float : string -> float -> string = "caml_format_float"
+
+(* Decimal digits of [i <= 0]'s magnitude, most significant first;
+   working on the non-positive side keeps [min_int] in range. *)
+let rec add_neg_digits buf i =
+  if i <= -10 then add_neg_digits buf (i / 10);
+  Buffer.add_char buf (Char.chr (48 - (i mod 10)))
+
+let add_decimal buf i =
+  if i < 0 then Buffer.add_char buf '-';
+  add_neg_digits buf (if i < 0 then i else -i)
+
+let add_number buf f =
+  if Float.is_integer f && Float.abs f < 1e15 then
+    if Float.equal f 0. && Float.sign_bit f then Buffer.add_string buf "-0"
+    else add_decimal buf (int_of_float f)
+  else Buffer.add_string buf (format_float "%.17g" f)
+
+let add_seq buf ~first ~last add items =
+  Buffer.add_char buf first;
+  List.iteri
+    (fun i x ->
+      if i > 0 then Buffer.add_char buf ',';
+      add x)
+    items;
+  Buffer.add_char buf last
+
+let rec to_buffer buf = function
+  | Null -> Buffer.add_string buf "null"
+  | Bool b -> Buffer.add_string buf (if b then "true" else "false")
+  | Number f -> add_number buf f
+  | String s -> add_string buf s
+  | List l -> add_seq buf ~first:'[' ~last:']' (to_buffer buf) l
+  | Obj members ->
+      add_seq buf ~first:'{' ~last:'}'
+        (fun (k, v) ->
+          add_string buf k;
+          Buffer.add_char buf ':';
+          to_buffer buf v)
+        members
+
+let to_string v =
+  let buf = Buffer.create 64 in
+  to_buffer buf v;
   Buffer.contents buf
 
-let rec to_string = function
-  | Null -> "null"
-  | Bool b -> string_of_bool b
-  | Number f ->
-      if Float.is_integer f && Float.abs f < 1e15 then
-        Printf.sprintf "%.0f" f
-      else Printf.sprintf "%.17g" f
-  | String s -> escape_string s
-  | List l -> "[" ^ String.concat "," (List.map to_string l) ^ "]"
-  | Obj members ->
-      "{"
-      ^ String.concat ","
-          (List.map
-             (fun (k, v) -> escape_string k ^ ":" ^ to_string v)
-             members)
-      ^ "}"
+let write_file ~path output =
+  let oc = open_out_bin path in
+  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output oc)
+
+let write_jsonl ~path iter =
+  let buf = Buffer.create 4096 in
+  iter (fun v ->
+      to_buffer buf v;
+      Buffer.add_char buf '\n');
+  write_file ~path (fun oc -> Buffer.output_buffer oc buf)
+
+let read_file path =
+  match
+    let ic = open_in_bin path in
+    Fun.protect
+      ~finally:(fun () -> close_in ic)
+      (fun () -> really_input_string ic (in_channel_length ic))
+  with
+  | text -> Ok text
+  | exception Sys_error e -> Error e
 
 let member v key =
   match v with
@@ -255,3 +306,37 @@ let with_default v key ~default conv =
 let member_str v key ~default = with_default v key ~default to_str
 let member_int v key ~default = with_default v key ~default to_int
 let member_float v key ~default = with_default v key ~default to_float
+
+(* --- Schema-stamped JSONL ------------------------------------------------- *)
+
+let jsonl_lines text =
+  List.filter
+    (fun l -> not (String.equal (String.trim l) ""))
+    (String.split_on_char '\n' text)
+
+let ( let* ) = Result.bind
+
+let jsonl_schema text =
+  match jsonl_lines text with
+  | [] -> Error "empty JSONL file"
+  | first :: _ ->
+      let* doc = parse first in
+      let* got = member doc "schema" in
+      to_str got
+
+let validate_jsonl ~schema ?kinds text =
+  let* got = jsonl_schema text in
+  if not (String.equal got schema) then
+    Error (Printf.sprintf "schema mismatch: expected %S, got %S" schema got)
+  else
+    let check count line =
+      let* i = count in
+      Result.map_error (Printf.sprintf "line %d: %s" (i + 1))
+        (let* doc = parse line in
+         let* kind = Result.bind (member doc "kind") to_str in
+         match kinds with
+         | Some kinds when not (List.exists (String.equal kind) kinds) ->
+             Error (Printf.sprintf "unknown kind %S" kind)
+         | _ -> Ok (i + 1))
+    in
+    List.fold_left check (Ok 0) (jsonl_lines text)

@@ -15,86 +15,61 @@ let fields_of_event = function
   | Trace.Abort { node; msg; instance } ->
       (node, msg, Some instance)
 
-let entry_to_json { Trace.time; event } =
+(* Through the one serializer: [Json.add_number] prints every float as
+   %.17g does, so the lines keep their original bytes. *)
+let add_entry buf { Trace.time; event } =
   let node, msg, inst = fields_of_event event in
-  match inst with
-  | None ->
-      Printf.sprintf {|{"t":%.17g,"e":"%s","node":%d,"msg":%d}|} time
-        (kind_of_event event) node msg
-  | Some i ->
-      Printf.sprintf {|{"t":%.17g,"e":"%s","node":%d,"msg":%d,"inst":%d}|}
-        time (kind_of_event event) node msg i
+  let field key i =
+    Buffer.add_string buf key;
+    Json.add_decimal buf i
+  in
+  Buffer.add_string buf {|{"t":|};
+  Json.add_number buf time;
+  Buffer.add_string buf {|,"e":"|};
+  Buffer.add_string buf (kind_of_event event);
+  field {|","node":|} node;
+  field {|,"msg":|} msg;
+  Option.iter (field {|,"inst":|}) inst;
+  Buffer.add_char buf '}'
 
-let to_jsonl trace =
-  let buf = Buffer.create 4096 in
-  Trace.iter trace (fun entry ->
-      Buffer.add_string buf (entry_to_json entry);
-      Buffer.add_char buf '\n');
+let entry_to_json entry =
+  let buf = Buffer.create 64 in
+  add_entry buf entry;
   Buffer.contents buf
 
-let write_file trace ~path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_jsonl trace))
+let jsonl_buffer trace =
+  let buf = Buffer.create 4096 in
+  Trace.iter trace (fun entry ->
+      add_entry buf entry;
+      Buffer.add_char buf '\n');
+  buf
 
-(* A minimal parser for exactly the object shape we emit: string values
-   have no escapes, keys are known. *)
+let to_jsonl trace = Buffer.contents (jsonl_buffer trace)
+
+let write_file trace ~path =
+  Json.write_file ~path (fun oc -> Buffer.output_buffer oc (jsonl_buffer trace))
+
 let parse_line line =
-  let find_field key conv =
-    let needle = Printf.sprintf {|"%s":|} key in
-    let nlen = String.length needle in
-    let rec search i =
-      if i + nlen > String.length line then None
-      else if String.sub line i nlen = needle then begin
-        let start = i + nlen in
-        let stop = ref start in
-        while
-          !stop < String.length line
-          && not (List.mem line.[!stop] [ ','; '}' ])
-        do
-          incr stop
-        done;
-        conv (String.sub line start (!stop - start))
-      end
-      else search (i + 1)
-    in
-    search 0
+  let ( let* ) = Result.bind in
+  let* json = Json.parse line in
+  let field key conv = Result.bind (Json.member json key) conv in
+  let* time = field "t" Json.to_float in
+  let* kind = field "e" Json.to_str in
+  let* node = field "node" Json.to_int in
+  let* msg = field "msg" Json.to_int in
+  let with_inst make =
+    Result.map
+      (fun instance -> { Trace.time; event = make instance })
+      (field "inst" Json.to_int)
   in
-  let number s = float_of_string_opt (String.trim s) in
-  let integer s = int_of_string_opt (String.trim s) in
-  let unquote s =
-    let s = String.trim s in
-    if String.length s >= 2 && s.[0] = '"' && s.[String.length s - 1] = '"'
-    then Some (String.sub s 1 (String.length s - 2))
-    else None
-  in
-  match
-    ( find_field "t" number,
-      find_field "e" unquote,
-      find_field "node" integer,
-      find_field "msg" integer )
-  with
-  | Some time, Some kind, Some node, Some msg -> (
-      let inst () =
-        match find_field "inst" integer with
-        | Some i -> Ok i
-        | None -> Error "missing \"inst\""
-      in
-      let with_inst make =
-        Result.map (fun instance -> { Trace.time; event = make instance })
-          (inst ())
-      in
-      match kind with
-      | "arrive" -> Ok { Trace.time; event = Trace.Arrive { node; msg } }
-      | "deliver" -> Ok { Trace.time; event = Trace.Deliver { node; msg } }
-      | "bcast" -> with_inst (fun instance -> Trace.Bcast { node; msg; instance })
-      | "rcv" -> with_inst (fun instance -> Trace.Rcv { node; msg; instance })
-      | "ack" -> with_inst (fun instance -> Trace.Ack { node; msg; instance })
-      | "abort" ->
-          with_inst (fun instance -> Trace.Abort { node; msg; instance })
-      | other -> Error (Printf.sprintf "unknown event kind %S" other))
-  | _ -> Error "missing required field"
+  match kind with
+  | "arrive" -> Ok { Trace.time; event = Trace.Arrive { node; msg } }
+  | "deliver" -> Ok { Trace.time; event = Trace.Deliver { node; msg } }
+  | "bcast" -> with_inst (fun instance -> Trace.Bcast { node; msg; instance })
+  | "rcv" -> with_inst (fun instance -> Trace.Rcv { node; msg; instance })
+  | "ack" -> with_inst (fun instance -> Trace.Ack { node; msg; instance })
+  | "abort" -> with_inst (fun instance -> Trace.Abort { node; msg; instance })
+  | other -> Error (Printf.sprintf "unknown event kind %S" other)
 
 let entry_of_line = parse_line
 
@@ -127,10 +102,6 @@ let stream_file trace ~path =
   s
 
 let of_jsonl text =
-  let lines =
-    String.split_on_char '\n' text
-    |> List.filter (fun l -> String.trim l <> "")
-  in
   let rec go acc index = function
     | [] -> Ok (List.rev acc)
     | line :: rest -> (
@@ -138,14 +109,6 @@ let of_jsonl text =
         | Ok entry -> go (entry :: acc) (index + 1) rest
         | Error e -> Error (Printf.sprintf "line %d: %s" index e))
   in
-  go [] 1 lines
+  go [] 1 (Json.jsonl_lines text)
 
-let read_file ~path =
-  match
-    let ic = open_in path in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
-  | text -> of_jsonl text
-  | exception Sys_error e -> Error e
+let read_file ~path = Result.bind (Json.read_file path) of_jsonl

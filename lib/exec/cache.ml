@@ -46,19 +46,12 @@ let dir t = t.dir
 
 let path t ~digest = Filename.concat t.dir (digest ^ ".jsonl")
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 let find t ~digest =
-  let file = path t ~digest in
-  match read_file file with
-  | exception Sys_error _ ->
+  match Dsim.Json.read_file (path t ~digest) with
+  | Error _ ->
       t.misses <- t.misses + 1;
       None
-  | text -> (
+  | Ok text -> (
       match Dsim.Json.parse (String.trim text) with
       | Ok json ->
           t.hits <- t.hits + 1;
@@ -75,12 +68,7 @@ let find t ~digest =
 let store t ~digest ?(disc = "0") json =
   let final = path t ~digest in
   let tmp = final ^ ".tmp." ^ disc in
-  let oc = open_out_bin tmp in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc (Dsim.Json.to_string json);
-      output_char oc '\n');
+  Dsim.Json.write_jsonl ~path:tmp (fun line -> line json);
   Sys.rename tmp final
 
 let hits t = t.hits

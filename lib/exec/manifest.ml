@@ -77,14 +77,9 @@ let record t ~idx ~digest entry =
 let close t = close_out t.oc
 
 let load ~path =
-  match
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
-  | exception Sys_error _ -> None
-  | text -> (
+  match Dsim.Json.read_file path with
+  | Error _ -> None
+  | Ok text -> (
       match String.split_on_char '\n' text with
       | [] -> None
       | hd :: rest -> (

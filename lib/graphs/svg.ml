@@ -70,7 +70,4 @@ let render ?(width = 640) ?(highlight = fun _ -> false)
       Some (Buffer.contents buf)
 
 let write ~path doc =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc doc)
+  Dsim.Json.write_file ~path (fun oc -> output_string oc doc)

@@ -246,6 +246,10 @@ let of_json json =
   let* partitions = Dsim.Json.member_int json "partitions" ~default:0 in
   let partitions = if partitions = 0 then max domains 1 else partitions in
   if n < 1 then Error "need n >= 1"
+  else if gprime = "r-restricted" && r < 1 then
+    Error
+      (Printf.sprintf
+         "field \"r\": need r >= 1 for gprime \"r-restricted\" (got %d)" r)
   else if k < 0 then Error "need k >= 0"
   else if repeat < 1 then Error "need repeat >= 1"
   else if not (fprog > 0. && fprog <= fack) then
@@ -378,14 +382,7 @@ let expand_string text =
   expand json
 
 let load_file path =
-  let* text =
-    try
-      let ic = open_in path in
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () -> Ok (really_input_string ic (in_channel_length ic)))
-    with Sys_error e -> Error e
-  in
+  let* text = Dsim.Json.read_file path in
   match expand_string text with
   | Ok specs -> Ok specs
   | Error e -> Error (Printf.sprintf "%s: %s" path e)

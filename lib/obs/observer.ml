@@ -1,3 +1,5 @@
+let schema = "mmb-metrics/1"
+
 type t = {
   metrics : Metrics.t;
   spans : Spans.t;
@@ -87,30 +89,22 @@ let verdict_line t =
              vs) );
     ]
 
-let jsonl ?include_volatile t =
+let lines ?include_volatile t =
   let meta =
     Dsim.Json.Obj
       (("kind", Dsim.Json.String "meta")
-      :: ("schema", Dsim.Json.String "mmb-metrics/1")
+      :: ("schema", Dsim.Json.String schema)
       :: t.meta)
   in
-  let lines =
-    (meta :: Metrics.snapshot ?include_volatile t.metrics)
-    @ Spans.span_lines t.spans
-    @ [ verdict_line t ]
-  in
-  List.map Dsim.Json.to_string lines
+  (meta :: Metrics.snapshot ?include_volatile t.metrics)
+  @ Spans.span_lines t.spans
+  @ [ verdict_line t ]
+
+let jsonl ?include_volatile t =
+  List.map Dsim.Json.to_string (lines ?include_volatile t)
 
 let to_file ?include_volatile t path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      List.iter
-        (fun line ->
-          output_string oc line;
-          output_char oc '\n')
-        (jsonl ?include_volatile t))
+  Dsim.Json.write_jsonl ~path (fun f -> List.iter f (lines ?include_volatile t))
 
 let progress_line t ~sim =
   let violations =

@@ -14,6 +14,9 @@
 
 type t
 
+val schema : string
+(** ["mmb-metrics/1"], stamped into the export's meta line. *)
+
 val create :
   n:int ->
   ?dual:Graphs.Dual.t ->
@@ -59,7 +62,7 @@ val jsonl : ?include_volatile:bool -> t -> string list
     Deterministic across same-seed runs unless [include_volatile]. *)
 
 val to_file : ?include_volatile:bool -> t -> string -> unit
-(** Write {!jsonl} to a file. *)
+(** Write {!jsonl} to a file, through the same buffer serializer. *)
 
 val progress_line : t -> sim:Dsim.Sim.t -> string
 (** One-line frontier/heap status for [--progress]. *)

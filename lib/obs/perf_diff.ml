@@ -89,10 +89,6 @@ let entries_of_string text =
    each line's label is the benchmark id and its rate is events/wall.
    Lines without wall_s get a nan rate, surfaced as Incomparable. *)
 let sidecar_of_string ~label text =
-  let lines =
-    String.split_on_char '\n' text
-    |> List.filter (fun l -> String.trim l <> "")
-  in
   let rec go acc = function
     | [] -> Ok { e_label = label; e_benches = List.rev acc }
     | line :: rest ->
@@ -111,7 +107,7 @@ let sidecar_of_string ~label text =
             :: acc)
             rest
   in
-  go [] lines
+  go [] (Dsim.Json.jsonl_lines text)
 
 (* --- Entry selection ------------------------------------------------------- *)
 

@@ -223,92 +223,42 @@ let msg_json msg s =
       ("crit_mac", opt (Option.map (fun r -> r.r_cum_mac) crit));
     ]
 
-let jsonl t =
-  let meta =
-    let fixed = [ "kind"; "schema"; "n" ] in
-    Dsim.Json.Obj
-      (("kind", Dsim.Json.String "meta")
-      :: ("schema", Dsim.Json.String schema)
-      :: ("n", int t.n)
-      :: List.filter (fun (k, _) -> not (List.mem k fixed)) t.meta)
-  in
-  let lines =
-    Dsim.Tbl.sorted_fold ~cmp:Int.compare
-      (fun msg s acc ->
-        let root =
-          match s.origin with
-          | Some (node, time) ->
-              [
-                Dsim.Json.Obj
-                  [
-                    ("kind", Dsim.Json.String "root");
-                    ("msg", int msg);
-                    ("node", int node);
-                    ("t", num time);
-                  ];
-              ]
-          | None -> []
-        in
-        acc
-        @ [ msg_json msg s ]
-        @ root
-        @ List.rev_map receipt_json s.rev_receipts)
-      t.msgs [ meta ]
-  in
-  List.map Dsim.Json.to_string lines
+(* Every export line in file order: the meta line, then per message in
+   ascending id its summary, its root and its receipts in event order. *)
+let iter_lines t f =
+  let fixed = [ "kind"; "schema"; "n" ] in
+  f
+    (Dsim.Json.Obj
+       (("kind", Dsim.Json.String "meta")
+       :: ("schema", Dsim.Json.String schema)
+       :: ("n", int t.n)
+       :: List.filter (fun (k, _) -> not (List.mem k fixed)) t.meta));
+  Dsim.Tbl.sorted_iter ~cmp:Int.compare
+    (fun msg s ->
+      f (msg_json msg s);
+      Option.iter
+        (fun (node, time) ->
+          f
+            (Dsim.Json.Obj
+               [
+                 ("kind", Dsim.Json.String "root");
+                 ("msg", int msg);
+                 ("node", int node);
+                 ("t", num time);
+               ]))
+        s.origin;
+      List.iter (fun r -> f (receipt_json r)) (List.rev s.rev_receipts))
+    t.msgs
 
-let to_file t ~path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      List.iter
-        (fun line ->
-          output_string oc line;
-          output_char oc '\n')
-        (jsonl t))
+let jsonl t =
+  let lines = ref [] in
+  iter_lines t (fun v -> lines := Dsim.Json.to_string v :: !lines);
+  List.rev !lines
+
+let to_file t ~path = Dsim.Json.write_jsonl ~path (iter_lines t)
 
 (* --- Validation ------------------------------------------------------------ *)
 
-let kinds = [ "meta"; "msg"; "root"; "receipt" ]
-
 let validate_string text =
-  let ( let* ) = Result.bind in
-  let lines =
-    String.split_on_char '\n' text
-    |> List.filter (fun l -> String.trim l <> "")
-  in
-  match lines with
-  | [] -> Error "empty provenance file"
-  | first :: _ ->
-      let* doc = Dsim.Json.parse first in
-      let* got = Dsim.Json.member doc "schema" in
-      let* got = Dsim.Json.to_str got in
-      if got <> schema then
-        Error
-          (Printf.sprintf "schema mismatch: expected %S, got %S" schema got)
-      else
-        let rec check i = function
-          | [] -> Ok i
-          | line :: rest ->
-              let* doc =
-                Result.map_error
-                  (fun e -> Printf.sprintf "line %d: %s" (i + 1) e)
-                  (Dsim.Json.parse line)
-              in
-              let* kind = Dsim.Json.member doc "kind" in
-              let* kind = Dsim.Json.to_str kind in
-              if List.mem kind kinds then check (i + 1) rest
-              else Error (Printf.sprintf "line %d: unknown kind %S" (i + 1) kind)
-        in
-        check 0 lines
-
-let validate_file ~path =
-  match
-    let ic = open_in path in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
-  | exception Sys_error e -> Error e
-  | text -> validate_string text
+  Dsim.Json.validate_jsonl ~schema ~kinds:[ "meta"; "msg"; "root"; "receipt" ]
+    text

@@ -75,6 +75,5 @@ val to_file : t -> path:string -> unit
 
 val validate_string : string -> (int, string) result
 (** Checks schema stamp and per-line shape; returns the line count.
-    Used by [mmb_sim trace-validate] for [.jsonl] files. *)
-
-val validate_file : path:string -> (int, string) result
+    Used by [mmb_sim trace-validate] for [.jsonl] files stamped
+    {!schema}. *)

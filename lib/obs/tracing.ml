@@ -23,123 +23,129 @@ let create () = { buf = Buffer.create 4096; count = 0 }
 
 let event_count t = t.count
 
-let num f = Dsim.Json.Number f
-let str s = Dsim.Json.String s
-let int i = num (float_of_int i)
-
-let emit t fields =
-  if t.count > 0 then Buffer.add_char t.buf ',';
-  Buffer.add_string t.buf (Dsim.Json.to_string (Dsim.Json.Obj fields));
-  t.count <- t.count + 1
-
 let ts_of time = time *. us_per_unit
 
-let base ~ph ~pid ~tid ~ts name =
-  [
-    ("name", str name);
-    ("ph", str ph);
-    ("ts", num (ts_of ts));
-    ("pid", int pid);
-    ("tid", int tid);
-  ]
+(* Emitters append each event's fields straight to the buffer in their
+   fixed key order; no event is ever built as a Dsim.Json.t first. *)
 
-let with_opt ?cat ?args fields =
-  let fields =
-    match cat with None -> fields | Some c -> fields @ [ ("cat", str c) ]
-  in
-  match args with
-  | None | Some [] -> fields
-  | Some kvs -> fields @ [ ("args", Dsim.Json.Obj kvs) ]
+let field t key = Buffer.add_string t.buf key
+let num_field t key f = field t key; Dsim.Json.add_number t.buf f
+let int_field t key i = num_field t key (float_of_int i)
+
+(* Opens the next event: {"name":...,"ph":"<ph>" *)
+let start t ~ph name =
+  if t.count > 0 then Buffer.add_char t.buf ',';
+  t.count <- t.count + 1;
+  field t {|{"name":|};
+  Dsim.Json.add_string t.buf name;
+  field t {|,"ph":"|};
+  field t ph;
+  Buffer.add_char t.buf '"'
+
+(* name, ph, ts, pid, tid: the prefix every timed event shares. *)
+let base t ~ph ~pid ~tid ~ts name =
+  start t ~ph name;
+  num_field t {|,"ts":|} (ts_of ts);
+  int_field t {|,"pid":|} pid;
+  int_field t {|,"tid":|} tid
+
+(* The optional tail, cat then non-empty args, and the closing brace. *)
+let close ?cat ?args t =
+  (match cat with
+  | None -> ()
+  | Some c ->
+      field t {|,"cat":|};
+      Dsim.Json.add_string t.buf c);
+  (match args with
+  | None | Some [] -> ()
+  | Some kvs ->
+      field t {|,"args":|};
+      Dsim.Json.to_buffer t.buf (Dsim.Json.Obj kvs));
+  Buffer.add_char t.buf '}'
 
 (* --- Metadata ------------------------------------------------------------- *)
 
-let process_name t ~pid name =
-  emit t
-    [
-      ("name", str "process_name");
-      ("ph", str "M");
-      ("pid", int pid);
-      ("tid", int 0);
-      ("args", Dsim.Json.Obj [ ("name", str name) ]);
-    ]
+let metadata t ~pid ~tid kind name =
+  start t ~ph:"M" kind;
+  int_field t {|,"pid":|} pid;
+  int_field t {|,"tid":|} tid;
+  close ~args:[ ("name", Dsim.Json.String name) ] t
 
-let thread_name t ~pid ~tid name =
-  emit t
-    [
-      ("name", str "thread_name");
-      ("ph", str "M");
-      ("pid", int pid);
-      ("tid", int tid);
-      ("args", Dsim.Json.Obj [ ("name", str name) ]);
-    ]
+let process_name t ~pid name = metadata t ~pid ~tid:0 "process_name" name
+let thread_name t ~pid ~tid name = metadata t ~pid ~tid "thread_name" name
 
 (* --- Slices, instants, counters ------------------------------------------- *)
 
 let complete t ?cat ?args ~pid ~tid ~ts ~dur name =
-  emit t
-    (with_opt ?cat ?args
-       (base ~ph:"X" ~pid ~tid ~ts name
-       @ [ ("dur", num (ts_of dur)) ]))
+  base t ~ph:"X" ~pid ~tid ~ts name;
+  num_field t {|,"dur":|} (ts_of dur);
+  close ?cat ?args t
 
 let instant t ?cat ?args ~pid ~tid ~ts name =
-  emit t
-    (with_opt ?cat ?args
-       (base ~ph:"i" ~pid ~tid ~ts name @ [ ("s", str "t") ]))
+  base t ~ph:"i" ~pid ~tid ~ts name;
+  field t {|,"s":"t"|};
+  close ?cat ?args t
 
 let counter t ~pid ~ts name values =
-  emit t
-    [
-      ("name", str name);
-      ("ph", str "C");
-      ("ts", num (ts_of ts));
-      ("pid", int pid);
-      ("tid", int 0);
-      ("args", Dsim.Json.Obj (List.map (fun (k, v) -> (k, num v)) values));
-    ]
+  base t ~ph:"C" ~pid ~tid:0 ~ts name;
+  field t {|,"args":{|};
+  List.iteri
+    (fun i (k, v) ->
+      if i > 0 then Buffer.add_char t.buf ',';
+      Dsim.Json.add_string t.buf k;
+      Buffer.add_char t.buf ':';
+      Dsim.Json.add_number t.buf v)
+    values;
+  field t "}}"
 
 (* --- Flows and async spans ------------------------------------------------ *)
 
 let flow_start t ?cat ~pid ~tid ~ts ~id name =
-  emit t (with_opt ?cat (base ~ph:"s" ~pid ~tid ~ts name @ [ ("id", int id) ]))
+  base t ~ph:"s" ~pid ~tid ~ts name;
+  int_field t {|,"id":|} id;
+  close ?cat t
 
 let flow_finish t ?cat ~pid ~tid ~ts ~id name =
-  emit t
-    (with_opt ?cat
-       (base ~ph:"f" ~pid ~tid ~ts name
-       @ [ ("id", int id); ("bp", str "e") ]))
+  base t ~ph:"f" ~pid ~tid ~ts name;
+  int_field t {|,"id":|} id;
+  field t {|,"bp":"e"|};
+  close ?cat t
+
+let async t ~ph ~cat ?args ~pid ~ts ~id name =
+  base t ~ph ~pid ~tid:0 ~ts name;
+  int_field t {|,"id":|} id;
+  close ~cat ?args t
 
 let async_begin t ?(cat = "span") ?args ~pid ~ts ~id name =
-  emit t
-    (with_opt ~cat ?args (base ~ph:"b" ~pid ~tid:0 ~ts name @ [ ("id", int id) ]))
+  async t ~ph:"b" ~cat ?args ~pid ~ts ~id name
 
 let async_end t ?(cat = "span") ?args ~pid ~ts ~id name =
-  emit t
-    (with_opt ~cat ?args (base ~ph:"e" ~pid ~tid:0 ~ts name @ [ ("id", int id) ]))
+  async t ~ph:"e" ~cat ?args ~pid ~ts ~id name
 
 (* --- Container ------------------------------------------------------------- *)
 
-let to_string ?(meta = []) t =
-  let other =
-    Dsim.Json.Obj
-      (("schema", str schema)
-      :: ("time_unit", str "1 virtual time unit = 1ms")
-      :: meta)
-  in
-  String.concat ""
-    [
-      {|{"traceEvents":[|};
-      Buffer.contents t.buf;
-      {|],"displayTimeUnit":"ms","otherData":|};
-      Dsim.Json.to_string other;
-      "}";
-    ]
+let header = {|{"traceEvents":[|}
 
-let write_file ?meta t ~path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc (to_string ?meta t);
+let footer meta =
+  let buf = Buffer.create 256 in
+  Buffer.add_string buf {|],"displayTimeUnit":"ms","otherData":|};
+  Dsim.Json.to_buffer buf
+    (Dsim.Json.Obj
+       (("schema", Dsim.Json.String schema)
+       :: ("time_unit", Dsim.Json.String "1 virtual time unit = 1ms")
+       :: meta));
+  Buffer.add_char buf '}';
+  Buffer.contents buf
+
+let to_string ?(meta = []) t =
+  String.concat "" [ header; Buffer.contents t.buf; footer meta ]
+
+(* The event buffer goes to the file as is, never copied into a string. *)
+let write_file ?(meta = []) t ~path =
+  Dsim.Json.write_file ~path (fun oc ->
+      output_string oc header;
+      Buffer.output_buffer oc t.buf;
+      output_string oc (footer meta);
       output_char oc '\n')
 
 (* --- Validation (the verify.sh trace smoke gate) -------------------------- *)
@@ -169,17 +175,6 @@ let validate_string text =
           check (i + 1) rest
     in
     check 0 events
-
-let read_file path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-let validate_file ~path =
-  match read_file path with
-  | exception Sys_error e -> Error e
-  | text -> validate_string text
 
 (* --- The simulation collector --------------------------------------------- *)
 
@@ -225,17 +220,28 @@ module Sim = struct
       last_time = 0.;
     }
 
+  (* Track and slice names ("node 4", "rcv m3 i17", ...): text and
+     decimal parts in one buffer, no Printf or intermediate strings. *)
+  let label parts =
+    let b = Buffer.create 16 in
+    List.iter
+      (fun (text, i) ->
+        Buffer.add_string b text;
+        Dsim.Json.add_decimal b i)
+      parts;
+    Buffer.contents b
+
   (* Node tracks are labelled lazily on first use: event order is
      deterministic, so the labelling order is too, and million-node
      topologies don't pay for n metadata records up front. *)
   let node_track c node =
     if not (Hashtbl.mem c.named node) then begin
       Hashtbl.replace c.named node ();
-      thread_name c.w ~pid:sim_pid ~tid:node (Printf.sprintf "node %d" node)
+      thread_name c.w ~pid:sim_pid ~tid:node (label [ ("node ", node) ])
     end;
     node
 
-  let mname msg = Printf.sprintf "m%d" msg
+  let iname instance msg = label [ ("i", instance); (" m", msg) ]
 
   let mark c ~node ~time ?args name =
     (* Zero-width complete slice rather than an instant: Perfetto anchors
@@ -251,20 +257,20 @@ module Sim = struct
     in
     Hashtbl.remove c.insts instance;
     complete c.w ~cat:"inst"
-      ~args:[ ("end", str how) ]
+      ~args:[ ("end", Dsim.Json.String how) ]
       ~pid:sim_pid ~tid:(node_track c tid) ~ts:t0 ~dur:(time -. t0)
-      (Printf.sprintf "i%d %s" instance (mname msg))
+      (iname instance msg)
 
   let on_entry c { Dsim.Trace.time; event } =
     if time > c.last_time then c.last_time <- time;
     match event with
     | Dsim.Trace.Arrive { node; msg } ->
-        mark c ~node ~time (Printf.sprintf "arrive %s" (mname msg));
+        mark c ~node ~time (label [ ("arrive m", msg) ]);
         async_begin c.w ~cat:"mmb" ~pid:msg_pid ~ts:time ~id:msg
-          ~args:[ ("origin", int node) ]
-          (mname msg)
+          ~args:[ ("origin", Dsim.Json.Number (float_of_int node)) ]
+          (label [ ("m", msg) ])
     | Dsim.Trace.Deliver { node; msg } ->
-        mark c ~node ~time (Printf.sprintf "deliver %s" (mname msg));
+        mark c ~node ~time (label [ ("deliver m", msg) ]);
         let seen =
           match Hashtbl.find_opt c.delivers msg with Some d -> d | None -> 0
         in
@@ -273,20 +279,20 @@ module Sim = struct
         counter c.w ~pid:sim_pid ~ts:time "frontier"
           [ ("delivers", float_of_int c.total_delivers) ];
         if seen + 1 = c.n then
-          async_end c.w ~cat:"mmb" ~pid:msg_pid ~ts:time ~id:msg (mname msg)
+          async_end c.w ~cat:"mmb" ~pid:msg_pid ~ts:time ~id:msg
+            (label [ ("m", msg) ])
     | Dsim.Trace.Bcast { node; msg; instance } ->
         ignore (node_track c node);
         Hashtbl.replace c.insts instance
           { i_node = node; i_msg = msg; i_t0 = time }
     | Dsim.Trace.Rcv { node; msg; instance } -> (
-        mark c ~node ~time
-          (Printf.sprintf "rcv %s i%d" (mname msg) instance);
+        mark c ~node ~time (label [ ("rcv m", msg); (" i", instance) ]);
         match Hashtbl.find_opt c.insts instance with
         | None -> ()
         | Some inst ->
             let id = c.flow_ids in
             c.flow_ids <- id + 1;
-            let name = Printf.sprintf "i%d %s" instance (mname msg) in
+            let name = iname instance msg in
             flow_start c.w ~cat:"mac" ~pid:sim_pid ~tid:inst.i_node
               ~ts:inst.i_t0 ~id name;
             flow_finish c.w ~cat:"mac" ~pid:sim_pid ~tid:node ~ts:time ~id
@@ -305,10 +311,10 @@ module Sim = struct
     Dsim.Tbl.sorted_iter ~cmp:Int.compare
       (fun instance inst ->
         complete c.w ~cat:"inst"
-          ~args:[ ("end", str "open") ]
+          ~args:[ ("end", Dsim.Json.String "open") ]
           ~pid:sim_pid ~tid:inst.i_node ~ts:inst.i_t0
           ~dur:(c.last_time -. inst.i_t0)
-          (Printf.sprintf "i%d %s" instance (mname inst.i_msg)))
+          (iname instance inst.i_msg))
       c.insts;
     Hashtbl.reset c.insts;
     c.w

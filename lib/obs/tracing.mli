@@ -95,8 +95,6 @@ val validate_string : string -> (int, string) result
     count.  The verify.sh trace smoke gate runs this via
     [mmb_sim trace-validate]. *)
 
-val validate_file : path:string -> (int, string) result
-
 (** {1 Simulation collector}
 
     Derives the standard track layout from a {!Dsim.Trace} event stream:

@@ -426,7 +426,19 @@ let test_jsonl_schema_roundtrip () =
   Alcotest.(check (option Alcotest.int)) "engine.executed matches the result"
     (Some res.Mmb.Runner.events_executed) executed;
   Alcotest.(check bool) "the run executed events" true
-    (res.Mmb.Runner.events_executed > 0)
+    (res.Mmb.Runner.events_executed > 0);
+  (* trace-validate recognises the file by its stamp and checks every
+     line for a kind. *)
+  let text = String.concat "\n" lines in
+  Alcotest.(check (result string string)) "schema stamp"
+    (Ok Obs.Observer.schema) (Dsim.Json.jsonl_schema text);
+  Alcotest.(check (result int string)) "every line validates"
+    (Ok (List.length lines))
+    (Dsim.Json.validate_jsonl ~schema:Obs.Observer.schema text);
+  Alcotest.(check bool) "a line without a kind is rejected" true
+    (Result.is_error
+       (Dsim.Json.validate_jsonl ~schema:Obs.Observer.schema
+          (text ^ "\n{\"name\":\"x\"}")))
 
 let test_jsonl_deterministic_across_runs () =
   let obs1, _, _ = observed_run ~seed:3 in

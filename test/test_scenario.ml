@@ -290,6 +290,28 @@ let test_unknown_sweep_param_rejected () =
       Alcotest.(check bool) "error names the bogus parameter" true
         (contains ~sub:"kk" e)
 
+(* r-restricted G' with r < 1 comes back as an Error naming "r" from the
+   loader, for a plain spec and for every spec a sweep expands to, instead
+   of an Invalid_argument from the graph constructor at execute time. *)
+let test_r_below_one_rejected () =
+  let names_r what = function
+    | Ok _ -> Alcotest.failf "%s: r = 0 accepted" what
+    | Error e ->
+        Alcotest.(check bool) (what ^ ": error names field r") true
+          (contains ~sub:{|"r"|} e)
+  in
+  names_r "of_string"
+    (Mmb.Scenario.of_string {|{"gprime":"r-restricted","r":0}|});
+  names_r "sweep"
+    (Mmb.Scenario.expand_string
+       {|{"gprime":"r-restricted","sweep":{"param":"r","values":[2,1,0]}}|});
+  match
+    Mmb.Scenario.expand_string
+      {|{"gprime":"r-restricted","n":6,"sweep":{"param":"r","values":[1,2]}}|}
+  with
+  | Ok specs -> Alcotest.(check int) "r >= 1 still loads" 2 (List.length specs)
+  | Error e -> Alcotest.fail e
+
 let test_load_file_prefixes_errors () =
   let path = Filename.temp_file "scenario" ".json" in
   Fun.protect
@@ -356,6 +378,8 @@ let sweep_suite =
         `Quick test_unknown_field_rejected;
       Alcotest.test_case "unknown sweep param rejected" `Quick
         test_unknown_sweep_param_rejected;
+      Alcotest.test_case "r < 1 rejected with the field named" `Quick
+        test_r_below_one_rejected;
       Alcotest.test_case "load_file prefixes errors with the file" `Quick
         test_load_file_prefixes_errors;
       Alcotest.test_case "load_file expands sweeps" `Quick

@@ -154,12 +154,25 @@ else
           -k 3 --fack 8 --seed 3 --partitions 4 --domains 4 \
           --trace-out "$T/d4.jsonl" > /dev/null &&
         cmp "$T/d1.jsonl" "$T/d4.jsonl"'
+    # The same promise on a grid, whose partitions share long cut
+    # boundaries and exchange many remote deliveries per window (the run
+    # test/golden/pdes_grid_p4.jsonl pins).
+    gate "pdes determinism (grid --partitions 4: --domains 1 vs 4 trace bytes)" \
+      sh -c 'T=$(mktemp -d) && trap "rm -rf $T" 0 &&
+        dune exec bin/mmb_sim.exe -- run -t grid -n 1600 -k 3 --fack 8 \
+          --seed 3 --partitions 4 --domains 1 --trace-out "$T/d1.jsonl" \
+          > /dev/null &&
+        OCAMLRUNPARAM=R dune exec bin/mmb_sim.exe -- run -t grid -n 1600 \
+          -k 3 --fack 8 --seed 3 --partitions 4 --domains 4 \
+          --trace-out "$T/d4.jsonl" > /dev/null &&
+        cmp "$T/d1.jsonl" "$T/d4.jsonl"'
   else
     skip "OCAMLRUNPARAM=R dune runtest --force" "run with --full"
     skip "dune build @fixtures" "run with --full"
     skip "dyn suite (test dyn)" "run with --full"
     skip "campaign determinism (churn_line --jobs 1 vs 4)" "run with --full"
     skip "pdes determinism (--partitions 4: --domains 1 vs 4 trace bytes)" "run with --full"
+    skip "pdes determinism (grid --partitions 4: --domains 1 vs 4 trace bytes)" "run with --full"
   fi
 fi
 

@@ -1,29 +1,35 @@
-(* Binary min-heap over (time, seq) keys.  Entry records carry seq,
-   payload and the liveness bit; times live in a parallel unboxed float
-   array kept in sync by the sifts.  Splitting the key out matters
-   twice: a mixed int/float record would box its float field, costing an
-   extra allocation per push, and sift comparisons become flat
-   [Float.Array]-style reads instead of pointer chases.  The handle
-   [push] returns IS the entry, so [cancel] is an O(1) field write with
-   no hashing and no lookup table.  Cancellation stays lazy: a dead
-   entry sits in the array until it surfaces at the root, where the one
-   shared drain ([drop_dead]) discards it.  [live] counts only
-   non-cancelled entries so [length] stays exact.
+(* Binary min-heap over (time, seq) keys.  Heap position [i] holds a
+   time [times.(i)] and a slot [slots.(i)] into the entry table
+   ([entries], with each entry's seq in [seq_of]).  Sifts move only
+   these two flat arrays, so no sift level stores a pointer or pays the
+   write barrier; an entry is written into the table once, at push.
+   The comparator is [@inline] so the moving time stays an unboxed
+   local: out of line, it would box the float at every level.
 
-   Slots at index >= [size] keep whatever entry reference last occupied
-   them (there is no sentinel to overwrite with); at most [capacity]
-   stale references can linger until the next pushes reuse the slots.
-   Events are small closures and heaps die with their simulation, so
-   this bounded retention is deliberate — it buys a branch-free pop. *)
+   A popped entry's slot goes on a free-slot stack kept in [slots]
+   itself, at positions [size .. n_slots - 1] (the ones the heap just
+   vacated), and the next push reuses it.  The arrays grow only when
+   all [n_slots] slots are occupied.  A freed slot keeps its last entry
+   until reused: at most [capacity] stale references linger, and heaps
+   die with their simulation.
 
-type 'a entry = { seq : int; value : 'a; mutable alive : bool }
+   The handle [push] returns IS the entry, so [cancel] is an O(1) field
+   write.  Cancellation stays lazy: a dead entry keeps its position
+   until it surfaces at the root, where the one shared drain
+   ([drop_dead]) discards it.  [live] counts only non-cancelled entries
+   so [length] stays exact. *)
+
+type 'a entry = { value : 'a; mutable alive : bool }
 
 type 'a handle = 'a entry
 
 type 'a t = {
-  mutable times : float array; (* times.(i) keys data.(i) *)
-  mutable data : 'a entry array;
-  mutable size : int; (* used slots in [data], including dead entries *)
+  mutable times : float array; (* heap position -> time *)
+  mutable slots : int array; (* heap position -> slot, then free slots *)
+  mutable seq_of : int array; (* slot -> insertion counter *)
+  mutable entries : 'a entry array; (* slot -> entry *)
+  mutable size : int; (* used heap positions, including dead entries *)
+  mutable n_slots : int; (* slots handed out: [size] used + free *)
   mutable live : int; (* non-cancelled entries *)
   mutable next_seq : int;
   mutable high_water : int; (* max [live] ever observed *)
@@ -31,8 +37,8 @@ type 'a t = {
 }
 
 let create () =
-  { times = [||]; data = [||]; size = 0; live = 0; next_seq = 0;
-    high_water = 0; n_cancelled = 0 }
+  { times = [||]; slots = [||]; seq_of = [||]; entries = [||]; size = 0;
+    n_slots = 0; live = 0; next_seq = 0; high_water = 0; n_cancelled = 0 }
 
 let length t = t.live
 let is_empty t = t.live = 0
@@ -40,25 +46,34 @@ let high_water t = t.high_water
 let pushes t = t.next_seq
 let cancelled t = t.n_cancelled
 
-(* Hole-based sifts: carry the moving (time, entry) pair in registers and
-   write them once at their final slot, instead of swapping pairwise. *)
-let sift_up t start time e =
+(* Does key [(time, seq)] sort before the key at heap position [i]? *)
+let[@inline] before t time seq i =
+  let ti = t.times.(i) in
+  time < ti || (time = ti && seq < t.seq_of.(t.slots.(i)))
+
+(* Hole-based sifts: carry the moving (time, slot) pair in registers and
+   write it once at its final position, instead of swapping pairwise. *)
+let sift_up t start time slot =
+  let seq = t.seq_of.(slot) in
   let i = ref start in
   let stop = ref false in
   while (not !stop) && !i > 0 do
     let parent = (!i - 1) / 2 in
-    let pt = t.times.(parent) in
-    if time < pt || (time = pt && e.seq < t.data.(parent).seq) then begin
-      t.times.(!i) <- pt;
-      t.data.(!i) <- t.data.(parent);
+    if before t time seq parent then begin
+      t.times.(!i) <- t.times.(parent);
+      t.slots.(!i) <- t.slots.(parent);
       i := parent
     end
     else stop := true
   done;
   t.times.(!i) <- time;
-  t.data.(!i) <- e
+  t.slots.(!i) <- slot
 
-let sift_down t time e =
+(* Re-seat the element at heap position [from] (the old last one) from
+   the root down. *)
+let sift_down t from =
+  let time = t.times.(from) and slot = t.slots.(from) in
+  let seq = t.seq_of.(slot) in
   let n = t.size in
   let i = ref 0 in
   let stop = ref false in
@@ -68,66 +83,73 @@ let sift_down t time e =
     else begin
       let r = l + 1 in
       let c =
-        if
-          r < n
-          && (t.times.(r) < t.times.(l)
-             || (t.times.(r) = t.times.(l)
-                && t.data.(r).seq < t.data.(l).seq))
-        then r
+        if r < n && before t t.times.(r) t.seq_of.(t.slots.(r)) l then r
         else l
       in
-      let ct = t.times.(c) in
-      if ct < time || (ct = time && t.data.(c).seq < e.seq) then begin
-        t.times.(!i) <- ct;
-        t.data.(!i) <- t.data.(c);
+      if before t time seq c then stop := true
+      else begin
+        t.times.(!i) <- t.times.(c);
+        t.slots.(!i) <- t.slots.(c);
         i := c
       end
-      else stop := true
     end
   done;
   t.times.(!i) <- time;
-  t.data.(!i) <- e
+  t.slots.(!i) <- slot
+
+let grow t e =
+  let cap = Array.length t.slots in
+  let cap' = if cap = 0 then 16 else 2 * cap in
+  let extend a fill =
+    let a' = Array.make cap' fill in
+    Array.blit a 0 a' 0 cap;
+    a'
+  in
+  t.times <- extend t.times 0.;
+  t.slots <- extend t.slots 0;
+  t.seq_of <- extend t.seq_of 0;
+  (* The new entry fills the fresh slots: no sentinel value needed. *)
+  t.entries <- extend t.entries e
 
 let push t ~time value =
   if Float.is_nan time then invalid_arg "Heap.push: NaN time";
-  let e = { seq = t.next_seq; value; alive = true } in
+  let e = { value; alive = true } in
+  let slot =
+    if t.size < t.n_slots then t.slots.(t.size)
+    else begin
+      if t.size = Array.length t.slots then grow t e;
+      t.n_slots <- t.n_slots + 1;
+      t.size
+    end
+  in
+  t.entries.(slot) <- e;
+  t.seq_of.(slot) <- t.next_seq;
   t.next_seq <- t.next_seq + 1;
-  let cap = Array.length t.data in
-  if t.size = cap then begin
-    (* Grow using the new entry as filler: every slot then aliases some
-       live entry, so no separate sentinel value is ever needed. *)
-    let cap' = if cap = 0 then 16 else 2 * cap in
-    let data = Array.make cap' e in
-    Array.blit t.data 0 data 0 cap;
-    t.data <- data;
-    let times = Array.make cap' time in
-    Array.blit t.times 0 times 0 cap;
-    t.times <- times
-  end;
   t.size <- t.size + 1;
   t.live <- t.live + 1;
   if t.live > t.high_water then t.high_water <- t.live;
-  sift_up t (t.size - 1) time e;
+  sift_up t (t.size - 1) time slot;
   e
 
-let cancel _t e =
+let cancel t e =
   if e.alive then begin
     e.alive <- false;
-    _t.live <- _t.live - 1;
-    _t.n_cancelled <- _t.n_cancelled + 1
+    t.live <- t.live - 1;
+    t.n_cancelled <- t.n_cancelled + 1
   end
 
 let pop_root t =
-  let e = t.data.(0) in
+  let slot = t.slots.(0) in
   let last = t.size - 1 in
   t.size <- last;
-  if last > 0 then sift_down t t.times.(last) t.data.(last);
-  e
+  if last > 0 then sift_down t last;
+  t.slots.(last) <- slot;
+  t.entries.(slot)
 
 (* The one dead-entry drain (Sim.run used to run one in [peek_time] and a
    second in [pop]; both now share this). *)
 let rec drop_dead t =
-  if t.size > 0 && not t.data.(0).alive then begin
+  if t.size > 0 && not t.entries.(t.slots.(0)).alive then begin
     ignore (pop_root t);
     drop_dead t
   end

@@ -1,21 +1,32 @@
 let unreachable = max_int
 
+(* The one BFS kernel, on a flat int queue: from [src] (already
+   labelled), give every node it reaches whose label is still [unseen]
+   its BFS parent's label plus [step].  [queue] needs room for every
+   node of the component. *)
+let sweep g ~queue ~label ~unseen ~step src =
+  queue.(0) <- src;
+  let head = ref 0 and tail = ref 1 in
+  while !head < !tail do
+    let u = queue.(!head) in
+    incr head;
+    let nbrs = Graph.neighbors g u in
+    let next = label.(u) + step in
+    for i = 0 to Array.length nbrs - 1 do
+      let v = nbrs.(i) in
+      if label.(v) = unseen then begin
+        label.(v) <- next;
+        queue.(!tail) <- v;
+        incr tail
+      end
+    done
+  done
+
 let distances g ~src =
   let n = Graph.n g in
   let dist = Array.make n unreachable in
-  let queue = Queue.create () in
   dist.(src) <- 0;
-  Queue.push src queue;
-  while not (Queue.is_empty queue) do
-    let u = Queue.pop queue in
-    Array.iter
-      (fun v ->
-        if dist.(v) = unreachable then begin
-          dist.(v) <- dist.(u) + 1;
-          Queue.push v queue
-        end)
-      (Graph.neighbors g u)
-  done;
+  sweep g ~queue:(Array.make n 0) ~label:dist ~unseen:unreachable ~step:1 src;
   dist
 
 let distance g u v = (distances g ~src:u).(v)
@@ -50,24 +61,13 @@ let pseudo_diameter g =
 let components g =
   let n = Graph.n g in
   let comp = Array.make n (-1) in
+  let queue = Array.make n 0 in
   let next = ref 0 in
   for src = 0 to n - 1 do
     if comp.(src) = -1 then begin
-      let id = !next in
-      incr next;
-      let queue = Queue.create () in
-      comp.(src) <- id;
-      Queue.push src queue;
-      while not (Queue.is_empty queue) do
-        let u = Queue.pop queue in
-        Array.iter
-          (fun v ->
-            if comp.(v) = -1 then begin
-              comp.(v) <- id;
-              Queue.push v queue
-            end)
-          (Graph.neighbors g u)
-      done
+      comp.(src) <- !next;
+      sweep g ~queue ~label:comp ~unseen:(-1) ~step:0 src;
+      incr next
     end
   done;
   comp

@@ -130,36 +130,41 @@ let power g ~r =
    edge: edges shared with G are distance 1 by definition, so an equal
    dual costs zero searches and an r-restricted dual only pays for the
    few nodes carrying extra links.  The old per-edge Bfs.distance made
-   this O(n * m) — a hang, not a cost, at mega (1e5+ node) scale. *)
+   this O(n * m) — a hang, not a cost, at mega (1e5+ node) scale.  An
+   equal dual skips even the per-edge membership scan: [create] and
+   [with_g'] enforce G ⊆ G', so equal edge counts mean G' = G. *)
 let restriction_radius t =
-  let n = Graph.n t.g in
-  let worst = ref 1 in
-  (try
-     for u = 0 to n - 1 do
-       let nbrs' = Graph.neighbors t.g' u in
-       let len = Array.length nbrs' in
-       let needs = ref false in
-       for i = 0 to len - 1 do
-         let v = nbrs'.(i) in
-         if v > u && not (Graph.mem_edge t.g u v) then needs := true
-       done;
-       if !needs then begin
-         let dist = Bfs.distances t.g ~src:u in
+  if equal_graphs t then 1
+  else begin
+    let n = Graph.n t.g in
+    let worst = ref 1 in
+    (try
+       for u = 0 to n - 1 do
+         let nbrs' = Graph.neighbors t.g' u in
+         let len = Array.length nbrs' in
+         let needs = ref false in
          for i = 0 to len - 1 do
            let v = nbrs'.(i) in
-           if v > u && not (Graph.mem_edge t.g u v) then begin
-             let d = dist.(v) in
-             if d = Bfs.unreachable then begin
-               worst := max_int;
-               raise Exit
-             end;
-             if d > !worst then worst := d
-           end
-         done
-       end
-     done
-   with Exit -> ());
-  !worst
+           if v > u && not (Graph.mem_edge t.g u v) then needs := true
+         done;
+         if !needs then begin
+           let dist = Bfs.distances t.g ~src:u in
+           for i = 0 to len - 1 do
+             let v = nbrs'.(i) in
+             if v > u && not (Graph.mem_edge t.g u v) then begin
+               let d = dist.(v) in
+               if d = Bfs.unreachable then begin
+                 worst := max_int;
+                 raise Exit
+               end;
+               if d > !worst then worst := d
+             end
+           done
+         end
+       done
+     with Exit -> ());
+    !worst
+  end
 
 let is_r_restricted t ~r =
   Graph.fold_edges
@@ -186,7 +191,12 @@ let is_grey_zone t ~c =
       done;
       !ok
 
-let of_equal g = create ~g ~g':g ()
+(* G ⊆ G holds trivially and every G' \ G row is empty, so skip both the
+   subgraph check and the per-edge row filter [create] would run. *)
+let of_equal g =
+  { g; g' = g; embedding = None;
+    g'_only = Array.make (Graph.n g) [||];
+    reliable_bits = build_reliable_bits ~g }
 
 let arbitrary_random rng ~g ~extra =
   let n = Graph.n g in

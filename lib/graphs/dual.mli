@@ -80,7 +80,8 @@ val power : Graph.t -> r:int -> Graph.t
 val restriction_radius : t -> int
 (** The smallest [r] such that G' is r-restricted (i.e. the max over
     G'-edges of the endpoints' distance in G); [max_int] if some G'-edge
-    joins nodes in different G-components. *)
+    joins nodes in different G-components.  [1] without any search when
+    {!equal_graphs} holds. *)
 
 val is_r_restricted : t -> r:int -> bool
 (** Definitional check: every [(u,v) ∈ E'] has [d_G(u,v) <= r]. *)

@@ -21,17 +21,26 @@ let complete n =
   done;
   Graph.of_edges ~n !edges
 
+(* Rows come out sorted (up, left, right, down), so no edge list and no
+   sort: the million-node runs build their grid here. *)
 let grid ~rows ~cols =
   if rows < 1 || cols < 1 then invalid_arg "Gen.grid: need positive dims";
-  let idx r c = (r * cols) + c in
-  let edges = ref [] in
-  for r = 0 to rows - 1 do
-    for c = 0 to cols - 1 do
-      if c + 1 < cols then edges := (idx r c, idx r (c + 1)) :: !edges;
-      if r + 1 < rows then edges := (idx r c, idx (r + 1) c) :: !edges
-    done
-  done;
-  Graph.of_edges ~n:(rows * cols) !edges
+  Graph.of_rows ~n:(rows * cols) (fun v ->
+      let r = v / cols and c = v mod cols in
+      let up = r > 0 and left = c > 0 in
+      let right = c + 1 < cols and down = r + 1 < rows in
+      let row =
+        Array.make
+          (Bool.to_int up + Bool.to_int left + Bool.to_int right
+         + Bool.to_int down)
+          0
+      in
+      let i = ref 0 in
+      if up then begin row.(!i) <- v - cols; incr i end;
+      if left then begin row.(!i) <- v - 1; incr i end;
+      if right then begin row.(!i) <- v + 1; incr i end;
+      if down then row.(!i) <- v + cols;
+      row)
 
 let balanced_tree ~arity ~depth =
   if arity < 1 || depth < 0 then invalid_arg "Gen.balanced_tree";

@@ -4,45 +4,74 @@ let check_endpoint n v =
   if v < 0 || v >= n then
     invalid_arg (Printf.sprintf "Graph: node %d out of range [0,%d)" v n)
 
-let dedup_sorted a =
-  (* [a] sorted; returns a fresh array without consecutive duplicates. *)
+(* Sort a row only when it is out of order, then drop duplicates in
+   place; the row is copied once more only when a duplicate was found. *)
+let finish_row a =
   let len = Array.length a in
-  if len = 0 then [||]
-  else begin
-    let out = ref [ a.(0) ] and count = ref 1 in
-    for i = 1 to len - 1 do
-      if a.(i) <> a.(i - 1) then begin
-        out := a.(i) :: !out;
-        incr count
-      end
-    done;
-    let n = !count in
-    let res = Array.make n 0 in
-    List.iteri (fun i v -> res.(n - 1 - i) <- v) !out;
-    res
-  end
+  let sorted = ref true in
+  for i = 1 to len - 1 do
+    if a.(i) < a.(i - 1) then sorted := false
+  done;
+  if not !sorted then Array.sort Int.compare a;
+  let w = ref (min len 1) in
+  for i = 1 to len - 1 do
+    if a.(i) <> a.(!w - 1) then begin
+      a.(!w) <- a.(i);
+      incr w
+    end
+  done;
+  if !w = len then a else Array.sub a 0 !w
 
+let of_finished_rows n adj =
+  for u = 0 to n - 1 do
+    adj.(u) <- finish_row adj.(u)
+  done;
+  let m = Array.fold_left (fun acc a -> acc + Array.length a) 0 adj / 2 in
+  { n; adj; m }
+
+(* Two passes over the list: count degrees, then fill exact-size rows. *)
 let of_edges ~n edges =
   if n < 0 then invalid_arg "Graph.of_edges: negative n";
-  let buckets = Array.make n [] in
+  let deg = Array.make n 0 in
   List.iter
     (fun (u, v) ->
       check_endpoint n u;
       check_endpoint n v;
       if u = v then invalid_arg "Graph.of_edges: self-loop";
-      buckets.(u) <- v :: buckets.(u);
-      buckets.(v) <- u :: buckets.(v))
+      deg.(u) <- deg.(u) + 1;
+      deg.(v) <- deg.(v) + 1)
     edges;
-  let adj =
-    Array.map
-      (fun l ->
-        let a = Array.of_list l in
-        Array.sort Int.compare a;
-        dedup_sorted a)
-      buckets
-  in
-  let m = Array.fold_left (fun acc a -> acc + Array.length a) 0 adj / 2 in
-  { n; adj; m }
+  let adj = Array.map (fun d -> Array.make d 0) deg in
+  Array.fill deg 0 n 0;
+  List.iter
+    (fun (u, v) ->
+      adj.(u).(deg.(u)) <- v;
+      deg.(u) <- deg.(u) + 1;
+      adj.(v).(deg.(v)) <- u;
+      deg.(v) <- deg.(v) + 1)
+    edges;
+  of_finished_rows n adj
+
+let of_rows ~n f =
+  if n < 0 then invalid_arg "Graph.of_rows: negative n";
+  let adj = Array.init n f in
+  let t = of_finished_rows n adj in
+  (* Symmetric iff, visiting [u] in ascending order, [u] is always the
+     next unmatched entry of every (sorted) row [v] it lists. *)
+  let next = Array.make n 0 in
+  for u = 0 to n - 1 do
+    let row = adj.(u) in
+    for i = 0 to Array.length row - 1 do
+      let v = row.(i) in
+      check_endpoint n v;
+      if v = u then invalid_arg "Graph.of_rows: self-loop";
+      let j = next.(v) in
+      if j >= Array.length adj.(v) || adj.(v).(j) <> u then
+        invalid_arg "Graph.of_rows: rows are not symmetric";
+      next.(v) <- j + 1
+    done
+  done;
+  t
 
 let empty ~n = of_edges ~n []
 

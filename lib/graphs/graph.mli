@@ -1,7 +1,7 @@
 (** Immutable undirected graphs over nodes [0 .. n-1].
 
     The representation is a sorted adjacency array, built once from an edge
-    list; lookups are by binary search.  Self-loops are rejected, duplicate
+    list or from per-node rows; lookups are by binary search.  Self-loops are rejected, duplicate
     edges are collapsed. *)
 
 type t
@@ -10,6 +10,13 @@ val of_edges : n:int -> (int * int) list -> t
 (** [of_edges ~n edges] builds the graph on nodes [0..n-1] with the given
     undirected edges.  Raises [Invalid_argument] on out-of-range endpoints or
     self-loops. *)
+
+val of_rows : n:int -> (int -> int array) -> t
+(** [of_rows ~n row] builds the graph whose node [u] has the neighbors
+    [row u], without an edge list.  The graph takes ownership of each
+    returned array (it is sorted and deduplicated in place).  Raises
+    [Invalid_argument] on an out-of-range neighbor, a self-loop, or rows
+    that are not symmetric ([v] in [row u] but [u] not in [row v]). *)
 
 val empty : n:int -> t
 (** Graph with [n] nodes and no edges. *)

@@ -156,6 +156,14 @@ let run ~dual ?mk_dyn ~fprog ~assignment ~seed ~partitions ~domains ?trace_out
   let gprime = Graphs.Dual.unreliable dual in
   let n = Graphs.Graph.n gprime in
   let part = Graphs.Partition.blocks gprime ~parts:partitions in
+  (* One shared node -> index-within-partition map, in node order. *)
+  let part_sizes = Array.make partitions 0 in
+  let rank = Array.make n 0 in
+  for v = 0 to n - 1 do
+    let p = part.(v) in
+    rank.(v) <- part_sizes.(p);
+    part_sizes.(p) <- part_sizes.(p) + 1
+  done;
   let k = 1 + List.fold_left (fun acc (_, m) -> max acc m) (-1) assignment in
   let k = max k 1 in
   let sims = Array.init partitions (fun _ -> Dsim.Sim.create ()) in
@@ -178,7 +186,8 @@ let run ~dual ?mk_dyn ~fprog ~assignment ~seed ~partitions ~domains ?trace_out
     Array.init partitions (fun me ->
         Mega.create ~sim:sims.(me) ~dual
           ?dyn:(Option.map (fun f -> f ()) mk_dyn)
-          ~fprog ~part ~me ~parts:partitions ~k ~seed ~trace:traces.(me)
+          ~fprog ~part ~rank ~n_local:part_sizes.(me) ~me ~parts:partitions ~k
+          ~seed ~trace:traces.(me)
           ~tracing
           ~send:(fun ~dst entry -> Mailbox.push boxes ~src:me ~dst entry)
           ())
@@ -309,6 +318,6 @@ let run ~dual ?mk_dyn ~fprog ~assignment ~seed ~partitions ~domains ?trace_out
     partitions;
     domains;
     cut_edges = Graphs.Partition.cut_edges gprime ~part;
-    part_sizes = Graphs.Partition.sizes part ~parts:partitions;
+    part_sizes;
     trace_entries;
   }

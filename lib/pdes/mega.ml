@@ -1,12 +1,17 @@
 (* Fused BMMB + MAC for one partition, struct-of-arrays throughout.
 
-   Per owned node, indexed by local id [l]:
+   A node [v] is owned when [part.(v) = me]; its local id is
+   [l = rank.(v)], its index within its partition.  Both arrays are
+   computed once by the engine and shared by every partition, so no
+   partition holds an n-sized array of its own.  Per owned node, indexed
+   by local id [l]:
      - delivered set: bit [l*k + msg] of [rcvd];
      - protocol FIFO: ring [qbuf.(l*k .. l*k+k-1)] with [qhead]/[qlen];
      - MAC instance: [in_flight.(l)] (message id, -1 idle) and
        [inst_uid.(l)] (its instance id).
    Everything is allocated once in [create]; the per-event path allocates
-   only the scheduled closures. *)
+   only the scheduled closures and mailbox entries — neighbor scans are
+   index loops, with no iterator closure or ref cell. *)
 
 type t = {
   sim : Dsim.Sim.t;
@@ -21,7 +26,7 @@ type t = {
   trace : Dsim.Trace.t;
   tracing : bool;
   send : dst:int -> Mailbox.entry -> unit;
-  local_of : int array; (* global node -> local id, -1 if not owned *)
+  rank : int array; (* global node -> local id within its partition *)
   n_local : int;
   rcvd : Bytes.t; (* n_local * k bits *)
   qbuf : int array; (* n_local rings of k slots *)
@@ -45,20 +50,10 @@ let bit_set bytes i =
   Bytes.unsafe_set bytes byte
     (Char.unsafe_chr (Char.code (Bytes.unsafe_get bytes byte) lor (1 lsl (i land 7))))
 
-let create ~sim ~dual ?dyn ~fprog ~part ~me ~parts ~k ~seed ~trace ~tracing
-    ~send () =
+let create ~sim ~dual ?dyn ~fprog ~part ~rank ~n_local ~me ~parts ~k ~seed
+    ~trace ~tracing ~send () =
   if fprog <= 0. then invalid_arg "Pdes.Mega.create: Fprog must be positive";
   if k < 1 then invalid_arg "Pdes.Mega.create: need k >= 1";
-  let n = Array.length part in
-  let local_of = Array.make n (-1) in
-  let n_local = ref 0 in
-  for v = 0 to n - 1 do
-    if part.(v) = me then begin
-      local_of.(v) <- !n_local;
-      incr n_local
-    end
-  done;
-  let n_local = !n_local in
   {
     sim;
     dual;
@@ -74,7 +69,7 @@ let create ~sim ~dual ?dyn ~fprog ~part ~me ~parts ~k ~seed ~trace ~tracing
     trace;
     tracing;
     send;
-    local_of;
+    rank;
     n_local;
     rcvd = Bytes.make (((n_local * k) + 7) / 8) '\000';
     qbuf = Array.make (n_local * k) 0;
@@ -124,36 +119,37 @@ and bcast t ~node ~l ~msg ~time =
      not O(active instances * degree). *)
   let local_delay = Dsim.Rng.float t.rng t.fprog in
   let owned = ref false in
-  Array.iter (fun j -> if t.part.(j) = t.me then owned := true) nbrs;
+  for i = 0 to Array.length nbrs - 1 do
+    if t.part.(nbrs.(i)) = t.me then owned := true
+  done;
   if !owned then
     ignore
       (Dsim.Sim.schedule_at t.sim ~time:(time +. local_delay) (fun () ->
            deliver_batch t ~nbrs ~msg ~uid));
-  Array.iter
-    (fun j ->
-      let dst = t.part.(j) in
-      if dst <> t.me then
-        t.send ~dst
-          { Mailbox.time = time +. t.fprog; node = j; msg; inst = uid })
-    nbrs;
+  for i = 0 to Array.length nbrs - 1 do
+    let j = nbrs.(i) in
+    let dst = t.part.(j) in
+    if dst <> t.me then
+      t.send ~dst { Mailbox.time = time +. t.fprog; node = j; msg; inst = uid }
+  done;
   ignore
     (Dsim.Sim.schedule_at t.sim ~time:(time +. t.fprog) (fun () ->
          ack t ~node ~l))
 
 and deliver_batch t ~nbrs ~msg ~uid =
   let time = Dsim.Sim.now t.sim in
-  Array.iter
-    (fun j ->
-      if t.part.(j) = t.me then begin
-        t.c_rcvs <- t.c_rcvs + 1;
-        if t.tracing then
-          record t ~time (Dsim.Trace.Rcv { node = j; msg; instance = uid });
-        accept t ~node:j ~msg ~time
-      end)
-    nbrs
+  for i = 0 to Array.length nbrs - 1 do
+    let j = nbrs.(i) in
+    if t.part.(j) = t.me then begin
+      t.c_rcvs <- t.c_rcvs + 1;
+      if t.tracing then
+        record t ~time (Dsim.Trace.Rcv { node = j; msg; instance = uid });
+      accept t ~node:j ~msg ~time
+    end
+  done
 
 and accept t ~node ~msg ~time =
-  let l = t.local_of.(node) in
+  let l = t.rank.(node) in
   let i = (l * t.k) + msg in
   if not (bit_get t.rcvd i) then begin
     bit_set t.rcvd i;
@@ -176,7 +172,7 @@ and ack t ~node ~l =
   maybe_send t ~node ~l ~time
 
 let schedule_arrival t ~node ~msg =
-  if t.local_of.(node) < 0 then
+  if t.part.(node) <> t.me then
     invalid_arg "Pdes.Mega.schedule_arrival: node not owned by this partition";
   ignore
     (Dsim.Sim.schedule_at t.sim ~time:0. (fun () ->

@@ -37,6 +37,8 @@ val create :
   ?dyn:Dyn.Dual.t ->
   fprog:float ->
   part:int array ->
+  rank:int array ->
+  n_local:int ->
   me:int ->
   parts:int ->
   k:int ->
@@ -47,7 +49,9 @@ val create :
   unit ->
   t
 (** [part] maps every global node to its partition; this engine owns the
-    nodes with [part.(node) = me].  [k] bounds message ids ([0..k-1]).
+    [n_local] nodes with [part.(node) = me].  [rank] maps every global
+    node to its index among its partition's nodes (in node order); both
+    arrays are shared read-only by all partitions.  [k] bounds message ids ([0..k-1]).
     [dyn], when given, must be a partition-private wrapper (epochs
     advance monotonically per partition); its oracle hooks are never
     consulted — the adversary needs global delivered-set knowledge and

@@ -14,6 +14,23 @@ let test_of_equal () =
   Alcotest.(check (list (pair int int))) "no unreliable-only edges" []
     (Graphs.Dual.unreliable_only_edges d)
 
+(* [of_equal] builds its record directly; it must equal what [create]
+   derives, and [restriction_radius] must answer 1 without searching. *)
+let test_of_equal_matches_create () =
+  let g = Graphs.Gen.grid ~rows:5 ~cols:7 in
+  let d = Graphs.Dual.of_equal g and c = Graphs.Dual.create ~g ~g':g () in
+  Alcotest.(check bool) "same G'-only rows" true
+    (d.Graphs.Dual.g'_only = c.Graphs.Dual.g'_only);
+  Alcotest.(check bool) "same reliable bits" true
+    (Bytes.equal d.Graphs.Dual.reliable_bits c.Graphs.Dual.reliable_bits);
+  Alcotest.(check int) "radius of of_equal" 1 (Graphs.Dual.restriction_radius d);
+  Alcotest.(check int) "radius of create ~g' = g" 1
+    (Graphs.Dual.restriction_radius c);
+  (* An extra G' edge at G-distance 3 must still be searched for. *)
+  let g' = Graphs.Graph.of_edges ~n:35 ((0, 3) :: Graphs.Graph.edges g) in
+  Alcotest.(check int) "radius with one long link" 3
+    (Graphs.Dual.restriction_radius (Graphs.Dual.create ~g ~g' ()))
+
 let test_power () =
   let g = Graphs.Gen.line 5 in
   let g2 = Graphs.Dual.power g ~r:2 in
@@ -129,6 +146,8 @@ let suite =
         Alcotest.test_case "create validates containment" `Quick
           test_create_validates;
         Alcotest.test_case "G' = G construction" `Quick test_of_equal;
+        Alcotest.test_case "of_equal = create, radius short-circuit" `Quick
+          test_of_equal_matches_create;
         Alcotest.test_case "power graph" `Quick test_power;
         Alcotest.test_case "r-restriction radius" `Quick test_r_restricted;
         Alcotest.test_case "random r-restricted generator" `Quick

@@ -101,6 +101,32 @@ let test_nan_rejected () =
   Alcotest.check_raises "nan" (Invalid_argument "Heap.push: NaN time")
     (fun () -> ignore (Dsim.Heap.push h ~time:Float.nan ()))
 
+(* Sifts move only unboxed keys, so a pop+push cycle allocates the same
+   at every depth: the entry and the result boxes, never anything per
+   sift level.  A comparator that boxes its float would add two words
+   per level, and a depth-4096 heap has eight more levels than a
+   depth-16 one. *)
+let test_sift_allocation_flat () =
+  let words_per_cycle depth =
+    let h = Dsim.Heap.create () in
+    let delays = Array.init 64 (fun i -> float_of_int ((i * 37) mod 64)) in
+    for i = 0 to depth - 1 do
+      ignore (Dsim.Heap.push h ~time:delays.(i land 63) i)
+    done;
+    let cycles = 20_000 in
+    let w0 = Gc.minor_words () in
+    for c = 1 to cycles do
+      match Dsim.Heap.pop h with
+      | Some (time, v) ->
+          ignore (Dsim.Heap.push h ~time:(time +. delays.(c land 63)) v)
+      | None -> ()
+    done;
+    (Gc.minor_words () -. w0) /. float_of_int cycles
+  in
+  let shallow = words_per_cycle 16 and deep = words_per_cycle 4096 in
+  Alcotest.(check (float 0.01)) "minor words per pop+push, depth 16 vs 4096"
+    shallow deep
+
 let prop_drain_sorted =
   QCheck.Test.make ~name:"heap drains in sorted stable order" ~count:200
     QCheck.(list (pair (float_bound_exclusive 1000.) small_int))
@@ -158,6 +184,8 @@ let suite =
         Alcotest.test_case "pop_if_before skips dead roots" `Quick
           test_pop_if_before_skips_dead;
         Alcotest.test_case "rejects NaN time" `Quick test_nan_rejected;
+        Alcotest.test_case "sifts allocate nothing per level" `Quick
+          test_sift_allocation_flat;
         QCheck_alcotest.to_alcotest prop_drain_sorted;
         QCheck_alcotest.to_alcotest prop_cancel_half;
       ] );

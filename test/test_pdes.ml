@@ -76,6 +76,29 @@ let test_partitions_1_matches_golden () =
     (read_file "golden/two_line_d5_seed0.jsonl")
     actual
 
+(* --- P = 4 on a grid: committed bytes ----------------------------------- *)
+
+(* The run of [mmb_sim run -t grid -n 1600 -k 3 --fack 8 --seed 3
+   --partitions 4 --trace-out golden/pdes_grid_p4.jsonl], rebuilt the
+   way the CLI builds it: a 40x40 grid with G' = G and the seed-3 random
+   assignment.  Pins the fused engine's bytes, not just their
+   invariance across domain counts. *)
+let test_grid_p4_golden () =
+  let dual = Graphs.Dual.of_equal (Graphs.Gen.grid ~rows:40 ~cols:40) in
+  let assignment = Mmb.Problem.random (Dsim.Rng.create ~seed:3) ~n:1600 ~k:3 in
+  let path = tmp_trace "grid_p4" in
+  let r =
+    Mmb.Runner.run_bmmb_pdes ~dual ~fack:8. ~fprog:1.
+      ~policy:(Amac.Schedulers.random_compliant ())
+      ~assignment ~seed:3 ~partitions:4 ~domains:2 ~trace_out:path ()
+  in
+  let actual = read_file path in
+  Sys.remove path;
+  Alcotest.(check bool) "completes" true r.Mmb.Runner.pd_complete;
+  Alcotest.(check bool)
+    "P=4 grid trace is the committed golden, byte for byte" true
+    (String.equal (read_file "golden/pdes_grid_p4.jsonl") actual)
+
 (* --- Domain mapping invariance -------------------------------------------- *)
 
 let pdes_line ~domains ~trace_out ?mk_dyn () =
@@ -344,6 +367,8 @@ let suite =
           test_partition_covers;
         Alcotest.test_case "partitioner balanced and deterministic" `Quick
           test_partition_balanced_and_deterministic;
+        Alcotest.test_case "P=4 grid reproduces its golden trace" `Quick
+          test_grid_p4_golden;
         Alcotest.test_case "P=1 reproduces the serial golden trace" `Quick
           test_partitions_1_matches_golden;
         Alcotest.test_case "trace bytes invariant across domains (static)"

@@ -248,7 +248,7 @@ let run_bmmb ~dual ~dyn ~fack ~fprog ~scheduler ~k ~seed ~check ~trace
       let want_trace =
         check || trace || trace_out <> None || provenance <> None
       in
-      (* Fail fast: the streaming monitor stops the simulation at the first
+      (* Fail fast: the streaming checker stops the simulation at the first
          axiom violation, printing the offending event. *)
       let sim_ref = ref None in
       let on_violation entry v =
@@ -320,7 +320,7 @@ let run_bmmb ~dual ~dyn ~fack ~fprog ~scheduler ~k ~seed ~check ~trace
       | Some d ->
           let churned =
             match Option.bind obs Obs.Observer.monitor with
-            | Some m -> Obs.Monitor.churned_count m
+            | Some m -> Amac.Compliance.churned_count m
             | None -> 0
           in
           Printf.printf
@@ -357,12 +357,11 @@ let run_bmmb ~dual ~dyn ~fack ~fprog ~scheduler ~k ~seed ~check ~trace
             ~meta:(run_meta ~protocol:"bmmb" ~n ~k ~seed)
             ~path
       | _ -> ());
-      ignore want_trace;
       `Ok ()
 
 (* BMMB on the horizon-parallel engine (lib/pdes).  Reached only when the
    resolved partition count exceeds 1; the serial-engine observability
-   surface (compliance monitor, Perfetto export, provenance, metrics,
+   surface (compliance checker, Perfetto export, provenance, metrics,
    progress ticker) stays with [run_bmmb]. *)
 let run_bmmb_parallel ~dual ~dynamic ~epoch ~dyn_period ~churn_rate ~dyn_seed
     ~fack ~fprog ~scheduler ~k ~seed ~partitions ~domains ~check ~trace
@@ -518,7 +517,7 @@ let run_fmmb ~dual ~fprog ~k ~seed ~trace_out ~provenance ~metrics =
             Option.iter (fun (_, p) -> Obs.Provenance.attach p tr) pcol)
   in
   (* Span-only observer: FMMB's staged engines restart uids/clocks, so the
-     streaming compliance monitor does not apply (see Obs.Monitor). *)
+     streaming compliance checker does not apply (see Amac.Compliance). *)
   let obs =
     match metrics with
     | None -> None

@@ -98,14 +98,25 @@ else
       sh -c 'dune exec bench/perf/perf.exe -- --smoke > /dev/null'
 
     # Trace smoke: a tiny run must produce Perfetto, provenance and
-    # metrics exports that self-validate (schema + per-event shape).
-    gate "trace smoke (run --trace-out/--provenance/--metrics + trace-validate)" \
+    # metrics exports that self-validate (schema + per-event shape), and
+    # its --check replay of the compliance checker must pass.
+    gate "trace smoke (run --check --trace-out/--provenance/--metrics + trace-validate)" \
       sh -c 'T=$(mktemp -d) && trap "rm -rf $T" 0 &&
-        dune exec bin/mmb_sim.exe -- run -t line -n 10 -k 2 --seed 3 \
+        dune exec bin/mmb_sim.exe -- run -t line -n 10 -k 2 --seed 3 --check \
           --trace-out "$T/trace.json" --provenance "$T/prov.jsonl" \
-          --metrics "$T/metrics.jsonl" >/dev/null &&
+          --metrics "$T/metrics.jsonl" > "$T/out" &&
+        grep -q "^compliance: OK" "$T/out" &&
         dune exec bin/mmb_sim.exe -- trace-validate "$T/trace.json" \
           "$T/prov.jsonl" "$T/metrics.jsonl"'
+    # Churn smoke: the streaming checker pins each instance's epoch G'
+    # at Bcast; the run must pass --check and export valid metrics.
+    gate "churn smoke (run --dynamic churn --check --metrics + trace-validate)" \
+      sh -c 'T=$(mktemp -d) && trap "rm -rf $T" 0 &&
+        dune exec bin/mmb_sim.exe -- run -t line -n 20 -k 3 --seed 2 -g r-restricted \
+          --dynamic churn --check --metrics "$T/metrics.jsonl" > "$T/out" &&
+        grep -q "^compliance: OK" "$T/out" &&
+        grep -q "churned-deliveries=" "$T/out" &&
+        dune exec bin/mmb_sim.exe -- trace-validate "$T/metrics.jsonl"'
 
     # Perf-regression diff over the last two recorded BENCH_PERF entries.
     # Advisory: entries come from different machines/sessions, so a drop
@@ -114,7 +125,8 @@ else
       sh -c 'dune exec bin/mmb_perf_diff.exe -- BENCH_PERF.json'
   else
     skip "bench/perf --smoke" "--quick"
-    skip "trace smoke (run --trace-out/--provenance/--metrics + trace-validate)" "--quick"
+    skip "trace smoke (run --check --trace-out/--provenance/--metrics + trace-validate)" "--quick"
+    skip "churn smoke (run --dynamic churn --check --metrics + trace-validate)" "--quick"
     skip "perf-diff (last two BENCH_PERF.json entries)" "--quick"
   fi
 

@@ -481,8 +481,8 @@ let bcast t ~node body =
   t.n_bcast <- t.n_bcast + 1;
   (* Delivery-plan-time consult of the schedule: note the probe and step
      to the epoch in force now, BEFORE the Bcast event is recorded, so
-     trace subscribers (the monitor) observing at Bcast time see the
-     epoch-current adjacency through the read-only Dyn.Dual.current. *)
+     trace subscribers (the compliance checker) observing at Bcast time
+     see the epoch-current adjacency through the read-only Dyn.Dual.current. *)
   let dual =
     match t.dyn with
     | None -> t.dual

@@ -162,5 +162,5 @@ val run_fmmb :
   fmmb_result
 (** The problem-level [Arrive]/[Deliver] lifecycle feeds
     [instrument.on_event] (stage-granular times); [Obs.Run.fmmb] points
-    it at an observer's spans.  The streaming compliance monitor does not
+    it at an observer's spans.  The streaming compliance checker does not
     apply to FMMB (per-stage engines restart instance uids and clocks). *)

@@ -3,20 +3,34 @@ let schema = "mmb-metrics/1"
 type t = {
   metrics : Metrics.t;
   spans : Spans.t;
-  monitor : Monitor.t option;
+  monitor : Amac.Compliance.t option;
   meta : (string * Dsim.Json.t) list;
-  mutable result : Monitor.violation list option; (* set by [finish] *)
+  mutable result : Amac.Compliance.violation list option; (* set by [finish] *)
 }
 
-let create ~n ?dual ?fack ?fprog ?eps_abort ?dyn ?on_violation ?(meta = []) () =
+let create ~n ?dual ?fack ?fprog ?eps_abort ?dyn ?(on_violation = fun _ _ -> ())
+    ?(meta = []) () =
   let metrics = Metrics.create () in
   let spans = Spans.create ~n ~metrics () in
   let monitor =
     match (dual, fack, fprog) with
     | Some dual, Some fack, Some fprog ->
+        let gaps = Metrics.histogram metrics "mac.progress_gap" in
+        let violations = Metrics.counter metrics "monitor.violations" in
+        let churned =
+          Option.map (fun _ -> Metrics.counter metrics "monitor.churned") dyn
+        in
+        let on_event = function
+          | Amac.Compliance.Violation (entry, v) ->
+              Metrics.incr violations;
+              on_violation entry v
+          | Amac.Compliance.Churned -> (
+              match churned with Some c -> Metrics.incr c | None -> ())
+          | Amac.Compliance.Progress_gap gap -> Metrics.observe gaps gap
+        in
         Some
-          (Monitor.create ~dual ~fack ~fprog ?eps_abort ?dyn ~metrics
-             ?on_violation ())
+          (Amac.Compliance.create ~dual ~fack ~fprog ?eps_abort ?dyn ~on_event
+             ())
     | None, _, _ -> None
     | _ ->
         invalid_arg
@@ -32,7 +46,7 @@ let attach t trace =
   Dsim.Trace.subscribe trace (fun entry ->
       Spans.on_entry t.spans entry;
       match t.monitor with
-      | Some m -> Monitor.on_entry m entry
+      | Some m -> Amac.Compliance.on_entry m entry
       | None -> ())
 
 let wire_sim t sim =
@@ -61,7 +75,7 @@ let wire_sim t sim =
 
 let finish ?allow_open t =
   let vs =
-    match t.monitor with Some m -> Monitor.finish ?allow_open m | None -> []
+    match t.monitor with Some m -> Amac.Compliance.finish ?allow_open m | None -> []
   in
   t.result <- Some vs;
   vs
@@ -71,7 +85,7 @@ let verdict_line t =
   let vs =
     match (t.result, t.monitor) with
     | Some vs, _ -> vs
-    | None, Some m -> Monitor.violations m
+    | None, Some m -> Amac.Compliance.violations m
     | None, None -> []
   in
   Dsim.Json.Obj
@@ -108,7 +122,7 @@ let to_file ?include_volatile t path =
 
 let progress_line t ~sim =
   let violations =
-    match t.monitor with Some m -> Monitor.violation_count m | None -> 0
+    match t.monitor with Some m -> Amac.Compliance.violation_count m | None -> 0
   in
   Fmt.str
     "[obs] t=%.3f msgs %d/%d frontier %d events %d pending %d heap_hw %d%s"

@@ -1,11 +1,11 @@
 (** One-stop observability for a simulated run: a {!Metrics} registry, a
-    {!Spans} deriver, an optional streaming compliance {!Monitor}, and
+    {!Spans} deriver, an optional streaming {!Amac.Compliance} checker, and
     engine gauges, exported together as JSONL.
 
     Typical wiring (what {!Mmb.Runner} does under [?obs]):
     {[
       let obs = Observer.create ~n ~dual ~fack ~fprog () in
-      Observer.attach obs trace;      (* subscribe spans + monitor *)
+      Observer.attach obs trace;      (* subscribe spans + checker *)
       Observer.wire_sim obs sim;      (* engine gauges *)
       (* ... run ... *)
       ignore (Observer.finish obs ~allow_open:(outcome <> Drained));
@@ -24,22 +24,24 @@ val create :
   ?fprog:float ->
   ?eps_abort:float ->
   ?dyn:Dyn.Dual.t ->
-  ?on_violation:(Dsim.Trace.entry option -> Monitor.violation -> unit) ->
+  ?on_violation:(Dsim.Trace.entry option -> Amac.Compliance.violation -> unit) ->
   ?meta:(string * Dsim.Json.t) list ->
   unit ->
   t
 (** [n] is the node count.  Passing [dual] (with [fack] and [fprog] —
     [Invalid_argument] if either is missing) enables the streaming
-    compliance monitor; [dyn] additionally enables its epoch-aware
-    axiom variants (see {!Monitor.create}).  [meta] fields are appended
+    compliance checker; [dyn] additionally enables its epoch-aware
+    axiom variants (see {!Amac.Compliance.create}).  The checker's
+    events feed the [monitor.violations] counter, the [mac.progress_gap]
+    histogram, [monitor.churned] (with [dyn]) and [on_violation].  [meta] fields are appended
     to the export's leading meta line. *)
 
 val metrics : t -> Metrics.t
 val spans : t -> Spans.t
-val monitor : t -> Monitor.t option
+val monitor : t -> Amac.Compliance.t option
 
 val attach : t -> Dsim.Trace.t -> unit
-(** Subscribe the span deriver and monitor to a trace's record stream
+(** Subscribe the span deriver and checker to a trace's record stream
     (works on disabled/ring traces — retention is not required). *)
 
 val wire_sim : t -> Dsim.Sim.t -> unit
@@ -48,8 +50,8 @@ val wire_sim : t -> Dsim.Sim.t -> unit
     plus per-category [engine.cat.<name>.events] and volatile
     [engine.cat.<name>.wall_s]. *)
 
-val finish : ?allow_open:bool -> t -> Monitor.violation list
-(** Finalize the monitor (no-op without one); pass [~allow_open:true] when
+val finish : ?allow_open:bool -> t -> Amac.Compliance.violation list
+(** Finalize the checker (no-op without one); pass [~allow_open:true] when
     the run was truncated rather than drained. *)
 
 val verdict_line : t -> Dsim.Json.t

@@ -9,10 +9,10 @@
     - fold every run's engine and MAC counters into {!Global}
       (continuous-time runs — what the benchmark sidecars and the
       campaign runner's per-job deltas measure);
-    - with [?obs], attach the observer: spans and the streaming monitor
-      subscribe to the MAC's event stream, engine gauges are wired, and
-      the observer is finished with [allow_open] set iff the run did not
-      drain.
+    - with [?obs], attach the observer: spans and the streaming
+      compliance checker subscribe to the MAC's event stream, engine
+      gauges are wired, and the observer is finished with [allow_open]
+      set iff the run did not drain.
 
     Call [Mmb.Runner] directly when none of that is wanted. *)
 
@@ -66,7 +66,7 @@ val fmmb :
   Mmb.Runner.fmmb_result
 (** With [obs], the problem-level [Arrive]/[Deliver] lifecycle feeds the
     observer's spans (stage-granular times).  The streaming compliance
-    monitor does not apply to FMMB (per-stage engines restart instance
+    checker does not apply to FMMB (per-stage engines restart instance
     uids and clocks); create the observer without [dual].  FMMB's round
     backends have no engine, so nothing is folded into {!Global}.
 

@@ -307,13 +307,13 @@ let test_churn_audit_sound () =
   Alcotest.(check int) "no MMB spec violations" 0
     (List.length res.Mmb.Runner.spec_violations)
 
-(* --- Monitor classification ---------------------------------------------- *)
+(* --- Checker classification ---------------------------------------------- *)
 
-let test_monitor_churned_classification () =
-  (* G = line 0-1-2, union pool = {(0,2)}; rate-1 churn strips the pool,
-     so epoch 0's G' is G alone.  A delivery 0→2 crosses a churned-away
-     link: churned, not a violation.  A delivery 0→3-nowhere stays a
-     violation. *)
+(* G = line 0-1-2-3, union pool = {(0,2)}; rate-1 churn strips the pool,
+   so epoch 0's G' is G alone.  A delivery 0→2 crosses a churned-away
+   link: churned, not a violation.  A delivery 0→3-nowhere stays a
+   violation. *)
+let churn_fixture () =
   let g = Graphs.Gen.line 4 in
   let g' = Graphs.Graph.of_edges ~n:4 (Graphs.Graph.edges g @ [ (0, 2) ]) in
   let base = Graphs.Dual.create ~g ~g' () in
@@ -321,9 +321,8 @@ let test_monitor_churned_classification () =
     Dyn.Dual.of_schedule
       (Dyn.Schedule.churn ~base ~epoch_len:10. ~rate:1. ~seed:1)
   in
-  let m = Obs.Monitor.create ~dual:base ~fack:10. ~fprog:5. ~dyn () in
-  List.iter
-    (fun (time, event) -> Obs.Monitor.on_entry m { Dsim.Trace.time; event })
+  ( base,
+    dyn,
     [
       (0., Dsim.Trace.Bcast { node = 0; msg = 1; instance = 1 });
       (0.5, Dsim.Trace.Rcv { node = 1; msg = 1; instance = 1 });
@@ -332,12 +331,44 @@ let test_monitor_churned_classification () =
       (* Not even a union-G' edge: a genuine violation. *)
       (1.5, Dsim.Trace.Rcv { node = 3; msg = 1; instance = 1 });
       (2., Dsim.Trace.Ack { node = 0; msg = 1; instance = 1 });
-    ];
-  let vs = Obs.Monitor.finish ~allow_open:true m in
+    ] )
+
+let test_monitor_churned_classification () =
+  let base, dyn, entries = churn_fixture () in
+  let m = Amac.Compliance.create ~dual:base ~fack:10. ~fprog:5. ~dyn () in
+  List.iter
+    (fun (time, event) -> Amac.Compliance.on_entry m { Dsim.Trace.time; event })
+    entries;
+  let vs = Amac.Compliance.finish ~allow_open:true m in
   Alcotest.(check int) "one churn-explained anomaly" 1
-    (Obs.Monitor.churned_count m);
+    (Amac.Compliance.churned_count m);
   Alcotest.(check bool) "the out-of-union delivery is still flagged" true
-    (List.exists (fun v -> v.Obs.Monitor.rule = "receive-correctness") vs)
+    (List.exists (fun v -> v.Amac.Compliance.rule = "receive-correctness") vs)
+
+(* The observer turns the checker's events into its counters and the
+   caller's violation callback. *)
+let test_observer_counts_checker_events () =
+  let base, dyn, entries = churn_fixture () in
+  let hits = ref [] in
+  let obs =
+    Obs.Observer.create ~n:4 ~dual:base ~fack:10. ~fprog:5. ~dyn
+      ~on_violation:(fun entry _ -> hits := entry :: !hits)
+      ()
+  in
+  let tr = Dsim.Trace.create () in
+  Obs.Observer.attach obs tr;
+  List.iter (fun (time, event) -> Dsim.Trace.record tr ~time event) entries;
+  ignore (Obs.Observer.finish ~allow_open:true obs);
+  let counter name =
+    Obs.Metrics.value (Obs.Metrics.counter (Obs.Observer.metrics obs) name)
+  in
+  Alcotest.(check int) "monitor.churned" 1 (counter "monitor.churned");
+  Alcotest.(check int) "monitor.violations" 1 (counter "monitor.violations");
+  match !hits with
+  | [ Some e ] ->
+      Alcotest.(check (float 0.)) "callback gets the offending entry" 1.5
+        e.Dsim.Trace.time
+  | hs -> Alcotest.failf "expected 1 callback with entry, got %d" (List.length hs)
 
 (* --- Scenario hardening --------------------------------------------------- *)
 
@@ -449,6 +480,8 @@ let suite =
           `Quick test_churn_audit_sound;
         Alcotest.test_case "monitor classifies churned vs violated" `Quick
           test_monitor_churned_classification;
+        Alcotest.test_case "observer counts checker events" `Quick
+          test_observer_counts_checker_events;
         Alcotest.test_case "scenario rejects unknown dynamic fields" `Quick
           test_scenario_rejects_unknown_dynamic_field;
         Alcotest.test_case "scenario rejects unknown dynamic kind" `Quick

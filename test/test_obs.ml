@@ -176,7 +176,7 @@ let test_span_orphans_and_aborts () =
   Alcotest.(check int) "aborted instance contributes no ack latency" 0
     (M.hist_count (M.histogram m "mac.ack_latency"))
 
-(* --- streaming monitor: parity with the post-hoc auditor ----------------- *)
+(* --- streaming checker: parity with the three-pass reference ------------- *)
 
 let line2 = lazy (Graphs.Dual.of_equal (Graphs.Gen.line 2))
 
@@ -187,15 +187,19 @@ let entries_to_trace entries =
 
 let check_parity ?(fack = 10.) ?(fprog = 2.) ?(allow_open = false) name dual tr
     =
-  let expected = Amac.Compliance.audit ~dual ~fack ~fprog ~allow_open tr in
-  let mon = Obs.Monitor.create ~dual ~fack ~fprog () in
-  Dsim.Trace.iter tr (Obs.Monitor.on_entry mon);
-  let actual = Obs.Monitor.finish ~allow_open mon in
-  let key v = v.Amac.Compliance.rule ^ " | " ^ v.Amac.Compliance.detail in
+  let expected =
+    Test_compliance_oracle.Ref.audit ~dual ~fack ~fprog ~allow_open tr
+  in
+  let mon = Amac.Compliance.create ~dual ~fack ~fprog () in
+  Dsim.Trace.iter tr (Amac.Compliance.on_entry mon);
+  let actual = Amac.Compliance.finish ~allow_open mon in
+  let key (rule, detail) = rule ^ " | " ^ detail in
   Alcotest.(check (list string))
     (name ^ ": same violation multiset as the auditor")
-    (List.sort String.compare (List.map key expected))
-    (List.sort String.compare (List.map key actual))
+    (List.sort String.compare
+       (List.map (fun v -> key (Test_compliance_oracle.key_ref v)) expected))
+    (List.sort String.compare
+       (List.map (fun v -> key (Test_compliance_oracle.key v)) actual))
 
 let crafted_traces =
   (* Mirrors test_compliance.ml's per-axiom traces: one per rule plus a
@@ -278,17 +282,19 @@ let test_monitor_parity_golden () =
         entries;
       let dual = Graphs.Dual.two_line ~d:5 in
       check_parity "golden trace" ~fack:8. ~fprog:1. dual tr;
-      let mon = Obs.Monitor.create ~dual ~fack:8. ~fprog:1. () in
-      Dsim.Trace.iter tr (Obs.Monitor.on_entry mon);
+      let mon = Amac.Compliance.create ~dual ~fack:8. ~fprog:1. () in
+      Dsim.Trace.iter tr (Amac.Compliance.on_entry mon);
       Alcotest.(check int) "golden trace is streaming-clean" 0
-        (List.length (Obs.Monitor.finish mon))
+        (List.length (Amac.Compliance.finish mon))
 
 let test_monitor_callback_fires_at_detection () =
   let dual = Lazy.force line2 in
   let hits = ref [] in
   let mon =
-    Obs.Monitor.create ~dual ~fack:10. ~fprog:2.
-      ~on_violation:(fun entry v -> hits := (entry, v) :: !hits)
+    Amac.Compliance.create ~dual ~fack:10. ~fprog:2.
+      ~on_event:(function
+        | Amac.Compliance.Violation (entry, v) -> hits := (entry, v) :: !hits
+        | _ -> ())
       ()
   in
   Dsim.Trace.iter
@@ -299,8 +305,8 @@ let test_monitor_callback_fires_at_detection () =
          (0.7, Dsim.Trace.Rcv { node = 1; msg = 1; instance = 1 });
          (1., Dsim.Trace.Ack { node = 0; msg = 1; instance = 1 });
        ])
-    (Obs.Monitor.on_entry mon);
-  ignore (Obs.Monitor.finish mon);
+    (Amac.Compliance.on_entry mon);
+  ignore (Amac.Compliance.finish mon);
   match List.rev !hits with
   | [ (Some entry, v) ] ->
       Alcotest.(check string) "rule" "receive-correctness"

@@ -4,82 +4,122 @@
      mmb_sim run --topology line --n 40 --k 4 --scheduler adversarial
      mmb_sim run --protocol fmmb --topology geometric --n 80 --k 6
      mmb_sim lower-bound --network two-line --d 16
-     mmb_sim sweep --param k --values 1,2,4,8,16 --topology line --n 30 *)
+     mmb_sim sweep --param k --values 1,2,4,8,16 --topology line --n 30
+
+   Every command that simulates builds a [Mmb.Scenario.spec] from its
+   flags and passes it through [Mmb.Scenario.validate], the check scenario
+   files go through; a rejected spec is a usage error naming the field. *)
 
 open Cmdliner
+
+let ( let* ) = Result.bind
+let ret = function Ok () -> `Ok () | Error e -> `Error (false, e)
+let defaults = Mmb.Scenario.default
+let vocab names = String.concat " | " names
 
 (* --- Shared argument definitions ---------------------------------------- *)
 
 let topology =
-  let doc = "Reliable graph G: line | ring | grid | star | geometric." in
-  Arg.(value & opt string "line" & info [ "topology"; "t" ] ~docv:"TOPO" ~doc)
+  let doc =
+    Printf.sprintf "Reliable graph G: %s." (vocab Mmb.Scenario.topologies)
+  in
+  Arg.(
+    value
+    & opt string defaults.topology
+    & info [ "topology"; "t" ] ~docv:"TOPO" ~doc)
 
 let n_arg =
   let doc = "Number of nodes." in
-  Arg.(value & opt int 30 & info [ "nodes"; "n" ] ~docv:"N" ~doc)
+  Arg.(value & opt int defaults.n & info [ "nodes"; "n" ] ~docv:"N" ~doc)
 
 let k_arg =
   let doc = "Number of MMB messages." in
-  Arg.(value & opt int 4 & info [ "messages"; "k" ] ~docv:"K" ~doc)
+  Arg.(value & opt int defaults.k & info [ "messages"; "k" ] ~docv:"K" ~doc)
 
 let gprime =
   let doc =
-    "Unreliable graph G' regime: equal | r-restricted | arbitrary | greyzone \
-     (greyzone forces the geometric topology)."
+    Printf.sprintf
+      "Unreliable graph G' regime: %s (greyzone forces the geometric \
+       topology)."
+      (vocab Mmb.Scenario.gprimes)
   in
-  Arg.(value & opt string "equal" & info [ "gprime"; "g" ] ~docv:"REGIME" ~doc)
+  Arg.(
+    value
+    & opt string defaults.gprime
+    & info [ "gprime"; "g" ] ~docv:"REGIME" ~doc)
 
 let r_arg =
   let doc = "Restriction radius for --gprime r-restricted." in
-  Arg.(value & opt int 2 & info [ "radius"; "r" ] ~docv:"R" ~doc)
+  Arg.(value & opt int defaults.r & info [ "radius"; "r" ] ~docv:"R" ~doc)
 
 let extra_arg =
   let doc = "Number of extra unreliable edges." in
-  Arg.(value & opt int 10 & info [ "extra" ] ~docv:"EDGES" ~doc)
+  Arg.(value & opt int defaults.extra & info [ "extra" ] ~docv:"EDGES" ~doc)
 
 let fack_arg =
   let doc = "Acknowledgment bound Fack." in
-  Arg.(value & opt float 20. & info [ "fack" ] ~docv:"FACK" ~doc)
+  Arg.(value & opt float defaults.fack & info [ "fack" ] ~docv:"FACK" ~doc)
 
 let fprog_arg =
   let doc = "Progress bound Fprog." in
-  Arg.(value & opt float 1. & info [ "fprog" ] ~docv:"FPROG" ~doc)
+  Arg.(value & opt float defaults.fprog & info [ "fprog" ] ~docv:"FPROG" ~doc)
 
 let seed_arg =
   let doc = "Random seed (runs are reproducible from it)." in
-  Arg.(value & opt int 1 & info [ "seed"; "s" ] ~docv:"SEED" ~doc)
+  Arg.(value & opt int defaults.seed & info [ "seed"; "s" ] ~docv:"SEED" ~doc)
 
 let scheduler_arg =
-  let doc = "Message scheduler: eager | random | adversarial." in
+  let doc =
+    Printf.sprintf "Message scheduler: %s." (vocab Mmb.Scenario.schedulers)
+  in
   Arg.(
-    value & opt string "random" & info [ "scheduler" ] ~docv:"SCHEDULER" ~doc)
+    value
+    & opt string defaults.scheduler
+    & info [ "scheduler" ] ~docv:"SCHEDULER" ~doc)
 
 let protocol_arg =
-  let doc = "Protocol: bmmb | fmmb." in
+  let doc =
+    Printf.sprintf "Protocol: %s (fmmb-online runs from scenario files only)."
+      (vocab Mmb.Scenario.protocols)
+  in
   Arg.(value & opt string "bmmb" & info [ "protocol"; "p" ] ~docv:"PROTO" ~doc)
 
 let dynamic_arg =
   let doc =
-    "Time-varying unreliable layer: static | flap | churn | adversary \
-     (bmmb only; the listed G' becomes the union over all epochs)."
+    Printf.sprintf
+      "Time-varying unreliable layer: %s (bmmb only; the listed G' becomes \
+       the union over all epochs)."
+      (vocab Mmb.Scenario.dynamic_kinds)
   in
   Arg.(value & opt (some string) None & info [ "dynamic" ] ~docv:"KIND" ~doc)
 
+let dyn_defaults = Mmb.Scenario.default_dynamic
+
 let epoch_arg =
   let doc = "Epoch length (stability parameter T) for --dynamic." in
-  Arg.(value & opt float 10. & info [ "epoch" ] ~docv:"T" ~doc)
+  Arg.(
+    value & opt float dyn_defaults.dyn_epoch & info [ "epoch" ] ~docv:"T" ~doc)
 
 let dyn_period_arg =
   let doc = "Half-period in epochs for --dynamic flap." in
-  Arg.(value & opt int 1 & info [ "dyn-period" ] ~docv:"EPOCHS" ~doc)
+  Arg.(
+    value
+    & opt int dyn_defaults.dyn_period
+    & info [ "dyn-period" ] ~docv:"EPOCHS" ~doc)
 
 let churn_rate_arg =
   let doc = "Per-epoch per-edge drop probability for --dynamic churn." in
-  Arg.(value & opt float 0.2 & info [ "churn-rate" ] ~docv:"P" ~doc)
+  Arg.(
+    value
+    & opt float dyn_defaults.dyn_churn
+    & info [ "churn-rate" ] ~docv:"P" ~doc)
 
 let dyn_seed_arg =
   let doc = "Seed for the churn schedule (independent of --seed)." in
-  Arg.(value & opt int 0 & info [ "dyn-seed" ] ~docv:"SEED" ~doc)
+  Arg.(
+    value
+    & opt int dyn_defaults.dyn_seed
+    & info [ "dyn-seed" ] ~docv:"SEED" ~doc)
 
 let check_arg =
   let doc = "Audit the execution against the five MAC-layer axioms." in
@@ -136,7 +176,7 @@ let domains_arg =
      auto: resolve to the machine's recommended domain count, like \
      $(b,campaign --jobs 0).  Must not exceed the partition count."
   in
-  Arg.(value & opt int 1 & info [ "domains" ] ~docv:"N" ~doc)
+  Arg.(value & opt int defaults.domains & info [ "domains" ] ~docv:"N" ~doc)
 
 let partitions_arg =
   let doc =
@@ -146,53 +186,40 @@ let partitions_arg =
      byte-identical for any domain count.  $(b,0) means auto (one \
      partition per worker domain); $(b,1) keeps the exact serial engine."
   in
-  Arg.(value & opt int 0 & info [ "partitions" ] ~docv:"P" ~doc)
+  Arg.(
+    value & opt int defaults.partitions & info [ "partitions" ] ~docv:"P" ~doc)
 
-(* --- Construction helpers ----------------------------------------------- *)
+(* --- Flags to a spec ------------------------------------------------------ *)
 
-let build_base ~topology ~n ~seed =
-  let rng = Dsim.Rng.create ~seed:(seed + 7321) in
-  match topology with
-  | "line" -> Ok (Graphs.Gen.line n, None)
-  | "ring" -> Ok (Graphs.Gen.ring (max 3 n), None)
-  | "star" -> Ok (Graphs.Gen.star n, None)
-  | "grid" ->
-      let side = int_of_float (ceil (sqrt (float_of_int n))) in
-      Ok (Graphs.Gen.grid ~rows:side ~cols:side, None)
-  | "geometric" ->
-      let side = sqrt (float_of_int n /. 3.) in
-      let g, pts =
-        Graphs.Gen.random_connected_geometric rng ~n ~width:side ~height:side
-          ~radius:1. ~max_tries:2000
-      in
-      Ok (g, Some pts)
-  | other -> Error (Printf.sprintf "unknown topology %S" other)
+(* The network flags, as a spec with every other field at its default. *)
+let net_term =
+  let make topology gprime n r extra seed =
+    { defaults with Mmb.Scenario.topology; gprime; n; r; extra; seed }
+  in
+  Term.(const make $ topology $ gprime $ n_arg $ r_arg $ extra_arg $ seed_arg)
 
-let build_dual ~topology ~gprime ~n ~r ~extra ~seed =
-  let rng = Dsim.Rng.create ~seed:(seed + 911) in
-  match gprime with
-  | "greyzone" ->
-      let side = sqrt (float_of_int n /. 3.) in
-      Ok
-        (Graphs.Dual.grey_zone_connected rng ~n ~width:side ~height:side ~c:2.
-           ~p:0.4 ~max_tries:2000)
-  | regime -> (
-      match build_base ~topology ~n ~seed with
-      | Error e -> Error e
-      | Ok (g, _) -> (
-          match regime with
-          | "equal" -> Ok (Graphs.Dual.of_equal g)
-          | "r-restricted" ->
-              Ok (Graphs.Dual.r_restricted_random rng ~g ~r ~extra)
-          | "arbitrary" -> Ok (Graphs.Dual.arbitrary_random rng ~g ~extra)
-          | other -> Error (Printf.sprintf "unknown G' regime %S" other)))
+(* The network flags plus the workload and MAC flags. *)
+let spec_term =
+  let make spec k fack fprog scheduler =
+    { spec with Mmb.Scenario.k; fack; fprog; scheduler }
+  in
+  Term.(const make $ net_term $ k_arg $ fack_arg $ fprog_arg $ scheduler_arg)
 
-let build_scheduler = function
-  | "eager" -> Ok (Amac.Schedulers.eager ())
-  | "random" -> Ok (Amac.Schedulers.random_compliant ())
-  | "adversarial" -> Ok (Amac.Schedulers.adversarial ())
-  | "bursty" -> Ok (Amac.Schedulers.bursty ())
-  | other -> Error (Printf.sprintf "unknown scheduler %S" other)
+let dynamic_term =
+  let make kind dyn_epoch dyn_period dyn_churn dyn_seed =
+    Option.map
+      (fun dyn_kind ->
+        { Mmb.Scenario.dyn_kind; dyn_epoch; dyn_period; dyn_churn; dyn_seed })
+      kind
+  in
+  Term.(
+    const make $ dynamic_arg $ epoch_arg $ dyn_period_arg $ churn_rate_arg
+    $ dyn_seed_arg)
+
+(* The base dual of a validated spec. *)
+let dual_of (spec : Mmb.Scenario.spec) =
+  Mmb.Scenario.build_dual ~topology:spec.topology ~gprime:spec.gprime
+    ~n:spec.n ~r:spec.r ~extra:spec.extra ~seed:spec.seed
 
 let describe_dual dual =
   let g = Graphs.Dual.reliable dual in
@@ -237,254 +264,166 @@ let write_provenance tr ~n ~meta ~path =
   Printf.printf "provenance written to %s (%d message(s))\n" path
     (List.length (Obs.Provenance.messages p))
 
-let run_bmmb ~dual ~dyn ~fack ~fprog ~scheduler ~k ~seed ~check ~trace
-    ~trace_out ~provenance ~metrics ~progress =
-  match build_scheduler scheduler with
-  | Error e -> `Error (false, e)
-  | Ok policy ->
-      let rng = Dsim.Rng.create ~seed in
-      let n = Graphs.Dual.n dual in
-      let assignment = Mmb.Problem.random rng ~n ~k in
-      let want_trace =
-        check || trace || trace_out <> None || provenance <> None
-      in
-      (* Fail fast: the streaming checker stops the simulation at the first
-         axiom violation, printing the offending event. *)
-      let sim_ref = ref None in
-      let on_violation entry v =
-        Fmt.epr "[monitor] %a@." Amac.Compliance.pp_violation v;
-        (match entry with
-        | Some e -> Fmt.epr "[monitor] offending event: %a@." Dsim.Trace.pp_entry e
-        | None -> ());
-        match !sim_ref with Some sim -> Dsim.Sim.stop sim | None -> ()
-      in
-      let obs =
-        if metrics <> None || progress <> None then
-          Some
-            (Obs.Observer.create ~n ~dual ~fack ~fprog ~on_violation ?dyn
-               ~meta:
-                 [
-                   ("protocol", Dsim.Json.String "bmmb");
-                   ("scheduler", Dsim.Json.String scheduler);
-                   ("n", Dsim.Json.Number (float_of_int n));
-                   ("k", Dsim.Json.Number (float_of_int k));
-                   ("fack", Dsim.Json.Number fack);
-                   ("fprog", Dsim.Json.Number fprog);
-                   ("seed", Dsim.Json.Number (float_of_int seed));
-                 ]
-               ())
-        else None
-      in
-      let setup sim =
-        sim_ref := Some sim;
-        (* Wall time is injected from outside the library (lint rule D3);
-           it only feeds volatile gauges, never the default export. *)
-        Dsim.Sim.set_wall_clock sim Sys.time;
-        match (obs, progress) with
-        | Some o, Some interval ->
-            let interval = if interval <= 0. then 10. else interval in
-            let rec tick () =
-              print_endline (Obs.Observer.progress_line o ~sim);
-              (* Only reschedule while other work is pending, so the ticker
-                 never keeps a drained simulation alive. *)
-              if Dsim.Sim.pending sim > 0 then
-                ignore
-                  (Dsim.Sim.schedule ~cat:"obs.progress" sim ~delay:interval
-                     tick)
-            in
-            ignore (Dsim.Sim.schedule_at ~cat:"obs.progress" sim ~time:0. tick)
-        | _ -> ()
-      in
-      let res =
-        Obs.Run.bmmb ~dual ~fack ~fprog ~policy ~assignment ~seed
-          ~check_compliance:want_trace ?dyn ?obs ~setup ()
-      in
-      (match (obs, metrics) with
-      | Some o, Some path ->
-          Obs.Observer.to_file o path;
-          Printf.printf "metrics written to %s\n" path
-      | _ -> ());
-      describe_dual dual;
-      Printf.printf "protocol: BMMB, scheduler: %s, Fack=%g, Fprog=%g\n"
-        scheduler fack fprog;
-      Printf.printf "complete: %b\ntime: %g\nbound: %g (time/bound %.2f)\n"
-        res.Mmb.Runner.complete res.Mmb.Runner.time res.Mmb.Runner.upper_bound
-        (if res.Mmb.Runner.upper_bound > 0. then
-           res.Mmb.Runner.time /. res.Mmb.Runner.upper_bound
-         else 0.);
-      Printf.printf "bcasts: %d, rcvs: %d, forced progress deliveries: %d\n"
-        res.Mmb.Runner.bcasts res.Mmb.Runner.rcvs res.Mmb.Runner.forced;
-      Printf.printf "engine: %d events executed\n" res.Mmb.Runner.events_executed;
-      (match dyn with
-      | None -> ()
-      | Some d ->
-          let churned =
-            match Option.bind obs Obs.Observer.monitor with
-            | Some m -> Amac.Compliance.churned_count m
-            | None -> 0
-          in
-          Printf.printf
-            "dynamic: kind=%s T=%g epochs=%d refreshes=%d churned-deliveries=%d\n"
-            (Dyn.Schedule.kind_name (Dyn.Dual.schedule d))
-            (Dyn.Schedule.epoch_len (Dyn.Dual.schedule d))
-            (Dyn.Dual.epoch d + 1)
-            (Dyn.Dual.refreshes d) churned);
-      if check then
-        if res.Mmb.Runner.compliance_violations = [] then
-          print_endline "compliance: OK (all five axioms hold)"
-        else begin
-          print_endline "compliance: VIOLATIONS";
-          List.iter
-            (fun v -> Fmt.pr "  %a@." Amac.Compliance.pp_violation v)
-            res.Mmb.Runner.compliance_violations
-        end;
-      (match (res.Mmb.Runner.trace, trace, trace_out) with
-      | Some tr, true, _ -> Fmt.pr "%a@." Dsim.Trace.pp tr
-      | _ -> ());
-      (match (res.Mmb.Runner.trace, trace_out) with
-      | Some tr, Some path when Filename.check_suffix path ".json" ->
-          write_perfetto_trace tr ~n
-            ~meta:(run_meta ~protocol:"bmmb" ~n ~k ~seed)
-            ~path
-      | Some tr, Some path ->
-          Dsim.Trace_io.write_file tr ~path;
-          Printf.printf "trace written to %s (%d events)\n" path
-            (Dsim.Trace.length tr)
-      | _ -> ());
-      (match (res.Mmb.Runner.trace, provenance) with
-      | Some tr, Some path ->
-          write_provenance tr ~n
-            ~meta:(run_meta ~protocol:"bmmb" ~n ~k ~seed)
-            ~path
-      | _ -> ());
-      `Ok ()
-
-(* BMMB on the horizon-parallel engine (lib/pdes).  Reached only when the
-   resolved partition count exceeds 1; the serial-engine observability
-   surface (compliance checker, Perfetto export, provenance, metrics,
-   progress ticker) stays with [run_bmmb]. *)
-let run_bmmb_parallel ~dual ~dynamic ~epoch ~dyn_period ~churn_rate ~dyn_seed
-    ~fack ~fprog ~scheduler ~k ~seed ~partitions ~domains ~check ~trace
-    ~trace_out ~provenance ~metrics ~progress =
-  let unsupported =
-    List.filter_map
-      (fun (on, flag) -> if on then Some flag else None)
-      [
-        (check, "--check");
-        (trace, "--trace");
-        (provenance <> None, "--provenance");
-        (metrics <> None, "--metrics");
-        (progress <> None, "--progress");
-      ]
+let run_bmmb (spec : Mmb.Scenario.spec) ~dual ~trace ~trace_out ~provenance
+    ~metrics ~progress =
+  let* policy = Mmb.Scenario.build_scheduler spec.scheduler in
+  let { Mmb.Scenario.k; fack; fprog; seed; scheduler; check; _ } = spec in
+  let dyn =
+    Option.map (fun mk -> mk ()) (Mmb.Scenario.dyn_factory ~dual spec)
   in
-  if unsupported <> [] then
-    `Error
-      ( false,
-        Printf.sprintf
-          "%s require%s the serial engine (--partitions 1): the partitioned \
-           engine streams its trace to disk instead of retaining it"
-          (String.concat ", " unsupported)
-          (match unsupported with [ _ ] -> "s" | _ -> "") )
-  else if
-    match trace_out with
-    | Some path -> Filename.check_suffix path ".json"
-    | None -> false
-  then
-    `Error
-      ( false,
-        "Perfetto export (--trace-out *.json) requires the serial engine \
-         (--partitions 1); use a non-.json suffix for the raw JSONL log" )
-  else if scheduler <> "random" then
-    `Error
-      ( false,
-        Printf.sprintf
-          "--partitions > 1 runs the fused full-coverage engine, which only \
-           realises the %S scheduler (got %S)"
-          "random" scheduler )
-  else
-    let dyn_spec =
-      Option.map
-        (fun kind ->
-          {
-            Mmb.Scenario.dyn_kind = kind;
-            dyn_epoch = epoch;
-            dyn_period;
-            dyn_churn = churn_rate;
-            dyn_seed;
-          })
-        dynamic
-    in
-    (* Validate the dynamic sub-spec once, eagerly; the engine then builds
-       one private wrapper per partition from the same spec. *)
-    let dyn_check =
-      match dyn_spec with
-      | None -> Ok None
-      | Some d when d.Mmb.Scenario.dyn_kind = "adversary" ->
-          Error
-            "--dynamic adversary requires the serial engine (--partitions \
-             1): the adversary consults a global delivery oracle"
-      | Some d ->
-          Result.map (fun _ -> Some d) (Mmb.Scenario.build_dyn ~dual d)
-    in
-    match dyn_check with
-    | Error e -> `Error (false, e)
-    | Ok dyn_spec -> (
-        let mk_dyn =
-          Option.map
-            (fun d () ->
-              match Mmb.Scenario.build_dyn ~dual d with
-              | Ok dd -> dd
-              | Error e -> failwith e)
-            dyn_spec
+  let rng = Dsim.Rng.create ~seed in
+  let n = Graphs.Dual.n dual in
+  let assignment = Mmb.Problem.random rng ~n ~k in
+  let want_trace = check || trace || trace_out <> None || provenance <> None in
+  (* Fail fast: the streaming checker stops the simulation at the first
+     axiom violation, printing the offending event. *)
+  let sim_ref = ref None in
+  let on_violation entry v =
+    Fmt.epr "[monitor] %a@." Amac.Compliance.pp_violation v;
+    (match entry with
+    | Some e -> Fmt.epr "[monitor] offending event: %a@." Dsim.Trace.pp_entry e
+    | None -> ());
+    match !sim_ref with Some sim -> Dsim.Sim.stop sim | None -> ()
+  in
+  let obs =
+    if metrics <> None || progress <> None then
+      Some
+        (Obs.Observer.create ~n ~dual ~fack ~fprog ~on_violation ?dyn
+           ~meta:
+             [
+               ("protocol", Dsim.Json.String "bmmb");
+               ("scheduler", Dsim.Json.String scheduler);
+               ("n", Dsim.Json.Number (float_of_int n));
+               ("k", Dsim.Json.Number (float_of_int k));
+               ("fack", Dsim.Json.Number fack);
+               ("fprog", Dsim.Json.Number fprog);
+               ("seed", Dsim.Json.Number (float_of_int seed));
+             ]
+           ())
+    else None
+  in
+  let setup sim =
+    sim_ref := Some sim;
+    (* Wall time is injected from outside the library (lint rule D3);
+       it only feeds volatile gauges, never the default export. *)
+    Dsim.Sim.set_wall_clock sim Sys.time;
+    match (obs, progress) with
+    | Some o, Some interval ->
+        let interval = if interval <= 0. then 10. else interval in
+        let rec tick () =
+          print_endline (Obs.Observer.progress_line o ~sim);
+          (* Only reschedule while other work is pending, so the ticker
+             never keeps a drained simulation alive. *)
+          if Dsim.Sim.pending sim > 0 then
+            ignore
+              (Dsim.Sim.schedule ~cat:"obs.progress" sim ~delay:interval tick)
         in
-        let rng = Dsim.Rng.create ~seed in
-        let n = Graphs.Dual.n dual in
-        let assignment = Mmb.Problem.random rng ~n ~k in
-        match
-          Mmb.Runner.run_bmmb_pdes ~dual ~fack ~fprog
-            ~policy:(Amac.Schedulers.random_compliant ())
-            ~assignment ~seed ~partitions ~domains ?mk_dyn ?trace_out ()
-        with
-        | exception Pdes.Engine.Domains_exceed_partitions { domains; partitions }
-          ->
-            `Error
-              ( false,
-                Printf.sprintf
-                  "domains-exceed-partitions: %d worker domains cannot be \
-                   mapped onto %d partition(s); lower --domains or raise \
-                   --partitions"
-                  domains partitions )
-        | r ->
-            describe_dual dual;
-            Printf.printf
-              "protocol: BMMB (partitioned engine), Fack=%g, Fprog=%g, \
-               partitions=%d, domains=%d\n"
-              fack fprog r.Mmb.Runner.pd_partitions r.Mmb.Runner.pd_domains;
-            Printf.printf "complete: %b\ntime: %g\nbound: %g (time/bound %.2f)\n"
-              r.Mmb.Runner.pd_complete r.Mmb.Runner.pd_time
-              r.Mmb.Runner.pd_upper_bound
-              (if r.Mmb.Runner.pd_upper_bound > 0. then
-                 r.Mmb.Runner.pd_time /. r.Mmb.Runner.pd_upper_bound
-               else 0.);
-            Printf.printf "bcasts: %d, rcvs: %d, acks: %d\n"
-              r.Mmb.Runner.pd_bcasts r.Mmb.Runner.pd_rcvs r.Mmb.Runner.pd_acks;
-            Printf.printf
-              "deliveries: %d (%d across partitions, %d cut edges)\n"
-              r.Mmb.Runner.pd_deliveries r.Mmb.Runner.pd_remote
-              r.Mmb.Runner.pd_cut_edges;
-            Printf.printf
-              "engine: %d events executed, %d barrier windows, heap high \
-               water %d\n"
-              r.Mmb.Runner.pd_events r.Mmb.Runner.pd_windows
-              r.Mmb.Runner.pd_heap_high_water;
-            Option.iter
-              (fun path ->
-                Printf.printf "trace written to %s (%d events)\n" path
-                  r.Mmb.Runner.pd_trace_entries)
-              trace_out;
-            `Ok ())
+        ignore (Dsim.Sim.schedule_at ~cat:"obs.progress" sim ~time:0. tick)
+    | _ -> ()
+  in
+  let res =
+    Obs.Run.bmmb ~dual ~fack ~fprog ~policy ~assignment ~seed
+      ~check_compliance:want_trace ?dyn ?obs ~setup ()
+  in
+  (match (obs, metrics) with
+  | Some o, Some path ->
+      Obs.Observer.to_file o path;
+      Printf.printf "metrics written to %s\n" path
+  | _ -> ());
+  describe_dual dual;
+  Printf.printf "protocol: BMMB, scheduler: %s, Fack=%g, Fprog=%g\n" scheduler
+    fack fprog;
+  Printf.printf "complete: %b\ntime: %g\nbound: %g (time/bound %.2f)\n"
+    res.Mmb.Runner.complete res.Mmb.Runner.time res.Mmb.Runner.upper_bound
+    (if res.Mmb.Runner.upper_bound > 0. then
+       res.Mmb.Runner.time /. res.Mmb.Runner.upper_bound
+     else 0.);
+  Printf.printf "bcasts: %d, rcvs: %d, forced progress deliveries: %d\n"
+    res.Mmb.Runner.bcasts res.Mmb.Runner.rcvs res.Mmb.Runner.forced;
+  Printf.printf "engine: %d events executed\n" res.Mmb.Runner.events_executed;
+  (match dyn with
+  | None -> ()
+  | Some d ->
+      let churned =
+        match Option.bind obs Obs.Observer.monitor with
+        | Some m -> Amac.Compliance.churned_count m
+        | None -> 0
+      in
+      Printf.printf
+        "dynamic: kind=%s T=%g epochs=%d refreshes=%d churned-deliveries=%d\n"
+        (Dyn.Schedule.kind_name (Dyn.Dual.schedule d))
+        (Dyn.Schedule.epoch_len (Dyn.Dual.schedule d))
+        (Dyn.Dual.epoch d + 1)
+        (Dyn.Dual.refreshes d) churned);
+  if check then
+    if res.Mmb.Runner.compliance_violations = [] then
+      print_endline "compliance: OK (all five axioms hold)"
+    else begin
+      print_endline "compliance: VIOLATIONS";
+      List.iter
+        (fun v -> Fmt.pr "  %a@." Amac.Compliance.pp_violation v)
+        res.Mmb.Runner.compliance_violations
+    end;
+  (match (res.Mmb.Runner.trace, trace, trace_out) with
+  | Some tr, true, _ -> Fmt.pr "%a@." Dsim.Trace.pp tr
+  | _ -> ());
+  (match (res.Mmb.Runner.trace, trace_out) with
+  | Some tr, Some path when Filename.check_suffix path ".json" ->
+      write_perfetto_trace tr ~n
+        ~meta:(run_meta ~protocol:"bmmb" ~n ~k ~seed)
+        ~path
+  | Some tr, Some path ->
+      Dsim.Trace_io.write_file tr ~path;
+      Printf.printf "trace written to %s (%d events)\n" path
+        (Dsim.Trace.length tr)
+  | _ -> ());
+  (match (res.Mmb.Runner.trace, provenance) with
+  | Some tr, Some path ->
+      write_provenance tr ~n ~meta:(run_meta ~protocol:"bmmb" ~n ~k ~seed) ~path
+  | _ -> ());
+  Ok ()
 
-let run_fmmb ~dual ~fprog ~k ~seed ~trace_out ~provenance ~metrics =
+(* BMMB on the horizon-parallel engine (lib/pdes), for a validated spec
+   with [partitions > 1]; the serial-engine sinks stay with [run_bmmb]. *)
+let run_bmmb_parallel (spec : Mmb.Scenario.spec) ~dual ~trace_out =
+  let* policy = Mmb.Scenario.build_scheduler spec.scheduler in
+  let { Mmb.Scenario.k; fack; fprog; seed; partitions; domains; _ } = spec in
+  let rng = Dsim.Rng.create ~seed in
+  let assignment = Mmb.Problem.random rng ~n:(Graphs.Dual.n dual) ~k in
+  let r =
+    Mmb.Runner.run_bmmb_pdes ~dual ~fack ~fprog ~policy ~assignment ~seed
+      ~partitions ~domains
+      ?mk_dyn:(Mmb.Scenario.dyn_factory ~dual spec)
+      ?trace_out ()
+  in
+  describe_dual dual;
+  Printf.printf
+    "protocol: BMMB (partitioned engine), Fack=%g, Fprog=%g, partitions=%d, \
+     domains=%d\n"
+    fack fprog r.Mmb.Runner.pd_partitions r.Mmb.Runner.pd_domains;
+  Printf.printf "complete: %b\ntime: %g\nbound: %g (time/bound %.2f)\n"
+    r.Mmb.Runner.pd_complete r.Mmb.Runner.pd_time r.Mmb.Runner.pd_upper_bound
+    (if r.Mmb.Runner.pd_upper_bound > 0. then
+       r.Mmb.Runner.pd_time /. r.Mmb.Runner.pd_upper_bound
+     else 0.);
+  Printf.printf "bcasts: %d, rcvs: %d, acks: %d\n" r.Mmb.Runner.pd_bcasts
+    r.Mmb.Runner.pd_rcvs r.Mmb.Runner.pd_acks;
+  Printf.printf "deliveries: %d (%d across partitions, %d cut edges)\n"
+    r.Mmb.Runner.pd_deliveries r.Mmb.Runner.pd_remote
+    r.Mmb.Runner.pd_cut_edges;
+  Printf.printf
+    "engine: %d events executed, %d barrier windows, heap high water %d\n"
+    r.Mmb.Runner.pd_events r.Mmb.Runner.pd_windows
+    r.Mmb.Runner.pd_heap_high_water;
+  Option.iter
+    (fun path ->
+      Printf.printf "trace written to %s (%d events)\n" path
+        r.Mmb.Runner.pd_trace_entries)
+    trace_out;
+  Ok ()
+
+let run_fmmb (spec : Mmb.Scenario.spec) ~dual ~trace_out ~provenance ~metrics =
+  let { Mmb.Scenario.k; fprog; seed; _ } = spec in
   let rng = Dsim.Rng.create ~seed in
   let n = Graphs.Dual.n dual in
   let assignment = Mmb.Problem.random rng ~n ~k in
@@ -567,85 +506,87 @@ let run_fmmb ~dual ~fprog ~k ~seed ~trace_out ~provenance ~metrics =
     f.Mmb.Fmmb.rounds_gather f.Mmb.Fmmb.rounds_spread f.Mmb.Fmmb.time;
   Printf.printf "MIS: size %d, valid %b\n" f.Mmb.Fmmb.mis_size
     f.Mmb.Fmmb.mis_valid;
-  `Ok ()
+  Ok ()
 
 let run_cmd =
-  let action protocol topology gprime n k r extra fack fprog seed scheduler
-      check trace trace_out provenance metrics progress svg dynamic epoch
-      dyn_period churn_rate dyn_seed domains partitions =
-    match build_dual ~topology ~gprime ~n ~r ~extra ~seed with
-    | Error e -> `Error (false, e)
-    | Ok dual -> (
-        (match svg with
-        | None -> ()
-        | Some path -> (
-            match Graphs.Svg.render dual with
-            | Some doc ->
-                Graphs.Svg.write ~path doc;
-                Printf.printf "network rendered to %s\n" path
-            | None ->
-                prerr_endline
-                  "note: --svg requires an embedded (geometric/greyzone) \
-                   network; skipped"));
-        (* [--domains 0] auto-resolves like [campaign --jobs 0].  Explicit
-           positive counts are honored even beyond the core count: traces
-           are identical for any mapping, and determinism gates need real
-           multi-domain runs even on small machines.  The partition count
-           then defaults to one partition per worker. *)
-        let domains =
-          if domains <= 0 then Exec.Pool.resolve_jobs ~requested:domains
-          else domains
-        in
-        let partitions = if partitions <= 0 then domains else partitions in
-        if domains > partitions then
-          `Error
-            ( false,
-              Printf.sprintf
-                "domains-exceed-partitions: %d worker domains cannot be \
-                 mapped onto %d partition(s); lower --domains or raise \
-                 --partitions"
-                domains partitions )
-        else if partitions > 1 && protocol <> "bmmb" then
-          `Error (false, "--partitions > 1 requires --protocol bmmb")
-        else if partitions > 1 then
-          run_bmmb_parallel ~dual ~dynamic ~epoch ~dyn_period ~churn_rate
-            ~dyn_seed ~fack ~fprog ~scheduler ~k ~seed ~partitions ~domains
-            ~check ~trace ~trace_out ~provenance ~metrics ~progress
-        else
-          let dyn =
-            match dynamic with
-            | None -> Ok None
-            | Some _ when protocol <> "bmmb" ->
-                Error "--dynamic requires --protocol bmmb"
-            | Some kind ->
-                Result.map Option.some
-                  (Mmb.Scenario.build_dyn ~dual
-                     {
-                       Mmb.Scenario.dyn_kind = kind;
-                       dyn_epoch = epoch;
-                       dyn_period;
-                       dyn_churn = churn_rate;
-                       dyn_seed;
-                     })
-          in
-          match (dyn, protocol) with
-          | Error e, _ -> `Error (false, e)
-          | Ok dyn, "bmmb" ->
-              run_bmmb ~dual ~dyn ~fack ~fprog ~scheduler ~k ~seed ~check
-                ~trace ~trace_out ~provenance ~metrics ~progress
-          | Ok _, "fmmb" ->
-              run_fmmb ~dual ~fprog ~k ~seed ~trace_out ~provenance ~metrics
-          | Ok _, other ->
-              `Error (false, Printf.sprintf "unknown protocol %S" other))
+  let action spec protocol check dynamic domains partitions trace trace_out
+      provenance metrics progress svg =
+    ret
+      (let* protocol = Mmb.Scenario.protocol_of_string protocol in
+       (* [--domains 0] auto-resolves like [campaign --jobs 0].  Explicit
+          positive counts are honored even beyond the core count: traces
+          are identical for any mapping, and determinism gates need real
+          multi-domain runs even on small machines. *)
+       let domains =
+         if domains <= 0 then Exec.Pool.resolve_jobs ~requested:domains
+         else domains
+       in
+       let* spec =
+         Mmb.Scenario.validate
+           {
+             spec with
+             Mmb.Scenario.protocol;
+             check;
+             dynamic;
+             domains;
+             partitions;
+           }
+       in
+       (* The run options that need the serial engine's retained trace or
+          its event hooks; they are not spec fields. *)
+       let serial_only =
+         List.filter_map
+           (fun (on, flag) -> if on then Some flag else None)
+           [
+             (trace, "--trace");
+             (provenance <> None, "--provenance");
+             (metrics <> None, "--metrics");
+             (progress <> None, "--progress");
+             ( Option.fold ~none:false
+                 ~some:(fun path -> Filename.check_suffix path ".json")
+                 trace_out,
+               "--trace-out *.json" );
+           ]
+       in
+       if spec.partitions > 1 && serial_only <> [] then
+         Error
+           (Printf.sprintf
+              "%s require%s the serial engine (--partitions 1): the \
+               partitioned engine streams its trace to disk instead of \
+               retaining it"
+              (String.concat ", " serial_only)
+              (match serial_only with [ _ ] -> "s" | _ -> ""))
+       else
+         let* dual = dual_of spec in
+         (match svg with
+         | None -> ()
+         | Some path -> (
+             match Graphs.Svg.render dual with
+             | Some doc ->
+                 Graphs.Svg.write ~path doc;
+                 Printf.printf "network rendered to %s\n" path
+             | None ->
+                 prerr_endline
+                   "note: --svg requires an embedded (geometric/greyzone) \
+                    network; skipped"));
+         if spec.partitions > 1 then run_bmmb_parallel spec ~dual ~trace_out
+         else
+           match spec.protocol with
+           | `Bmmb ->
+               run_bmmb spec ~dual ~trace ~trace_out ~provenance ~metrics
+                 ~progress
+           | `Fmmb -> run_fmmb spec ~dual ~trace_out ~provenance ~metrics
+           | `Fmmb_online ->
+               Error
+                 "protocol \"fmmb-online\" runs from scenario files (exec, \
+                  campaign) only")
   in
   let term =
     Term.(
       ret
-        (const action $ protocol_arg $ topology $ gprime $ n_arg $ k_arg
-       $ r_arg $ extra_arg $ fack_arg $ fprog_arg $ seed_arg $ scheduler_arg
-       $ check_arg $ trace_arg $ trace_out_arg $ provenance_arg $ metrics_arg
-       $ progress_arg $ svg_arg $ dynamic_arg $ epoch_arg $ dyn_period_arg
-       $ churn_rate_arg $ dyn_seed_arg $ domains_arg $ partitions_arg))
+        (const action $ spec_term $ protocol_arg $ check_arg $ dynamic_term
+       $ domains_arg $ partitions_arg $ trace_arg $ trace_out_arg
+       $ provenance_arg $ metrics_arg $ progress_arg $ svg_arg))
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Run one MMB simulation and print its metrics.")
@@ -701,50 +642,54 @@ let sweep_cmd =
       & opt string "1,2,4,8,16"
       & info [ "values" ] ~docv:"V1,V2,..." ~doc)
   in
-  let action param values topology gprime n k r extra fack fprog seed
-      scheduler =
+  let action param values (spec : Mmb.Scenario.spec) =
+    let at v =
+      match param with
+      | "n" -> { spec with n = v }
+      | "k" -> { spec with k = v }
+      | "r" -> { spec with r = v }
+      | "fack" -> { spec with fack = float_of_int v }
+      | _ -> spec
+    in
     let parsed =
       String.split_on_char ',' values
       |> List.filter_map (fun s -> int_of_string_opt (String.trim s))
     in
-    if parsed = [] then `Error (false, "no valid sweep values")
-    else begin
-      Printf.printf "%8s  %10s  %10s  %10s\n" param "time" "bound" "ratio";
-      let run_one v =
-        let n = if param = "n" then v else n in
-        let k = if param = "k" then v else k in
-        let r = if param = "r" then v else r in
-        let fack = if param = "fack" then float_of_int v else fack in
-        match build_dual ~topology ~gprime ~n ~r ~extra ~seed with
-        | Error e -> prerr_endline e
-        | Ok dual -> (
-            match build_scheduler scheduler with
-            | Error e -> prerr_endline e
-            | Ok policy ->
-                let rng = Dsim.Rng.create ~seed in
-                let assignment =
-                  Mmb.Problem.random rng ~n:(Graphs.Dual.n dual) ~k
-                in
-                let res =
-                  Obs.Run.bmmb ~dual ~fack ~fprog ~policy ~assignment
-                    ~seed ()
-                in
-                Printf.printf "%8d  %10.1f  %10.1f  %10.2f\n" v
-                  res.Mmb.Runner.time res.Mmb.Runner.upper_bound
-                  (if res.Mmb.Runner.upper_bound > 0. then
-                     res.Mmb.Runner.time /. res.Mmb.Runner.upper_bound
-                   else 0.))
-      in
-      List.iter run_one parsed;
-      `Ok ()
-    end
+    ret
+      (if parsed = [] then Error "no valid sweep values"
+       else
+         (* Every point is validated before the first one runs. *)
+         let* specs =
+           List.fold_left
+             (fun acc v ->
+               let* acc = acc in
+               let* spec = Mmb.Scenario.validate (at v) in
+               Ok ((v, spec) :: acc))
+             (Ok []) parsed
+         in
+         Printf.printf "%8s  %10s  %10s  %10s\n" param "time" "bound" "ratio";
+         List.fold_left
+           (fun acc (v, (spec : Mmb.Scenario.spec)) ->
+             let* () = acc in
+             let* dual = dual_of spec in
+             let* policy = Mmb.Scenario.build_scheduler spec.scheduler in
+             let rng = Dsim.Rng.create ~seed:spec.seed in
+             let assignment =
+               Mmb.Problem.random rng ~n:(Graphs.Dual.n dual) ~k:spec.k
+             in
+             let res =
+               Obs.Run.bmmb ~dual ~fack:spec.fack ~fprog:spec.fprog ~policy
+                 ~assignment ~seed:spec.seed ()
+             in
+             Printf.printf "%8d  %10.1f  %10.1f  %10.2f\n" v
+               res.Mmb.Runner.time res.Mmb.Runner.upper_bound
+               (if res.Mmb.Runner.upper_bound > 0. then
+                  res.Mmb.Runner.time /. res.Mmb.Runner.upper_bound
+                else 0.);
+             Ok ())
+           (Ok ()) (List.rev specs))
   in
-  let term =
-    Term.(
-      ret
-        (const action $ param $ values $ topology $ gprime $ n_arg $ k_arg
-       $ r_arg $ extra_arg $ fack_arg $ fprog_arg $ seed_arg $ scheduler_arg))
-  in
+  let term = Term.(ret (const action $ param $ values $ spec_term)) in
   Cmd.v
     (Cmd.info "sweep" ~doc:"Sweep one parameter of a BMMB simulation.")
     term
@@ -756,40 +701,34 @@ let online_cmd =
     let doc = "Poisson arrival rate (messages per time unit)." in
     Arg.(value & opt float 0.01 & info [ "rate" ] ~docv:"RATE" ~doc)
   in
-  let action topology gprime n k r extra fack fprog seed scheduler rate =
-    match build_dual ~topology ~gprime ~n ~r ~extra ~seed with
-    | Error e -> `Error (false, e)
-    | Ok dual -> (
-        match build_scheduler scheduler with
-        | Error e -> `Error (false, e)
-        | Ok policy ->
-            let rng = Dsim.Rng.create ~seed in
-            let arrivals =
-              Mmb.Problem.poisson_arrivals rng ~n:(Graphs.Dual.n dual) ~k
-                ~rate
-            in
-            let res =
-              Obs.Run.bmmb_online ~dual ~fack ~fprog ~policy ~arrivals
-                ~seed ()
-            in
-            describe_dual dual;
-            Printf.printf
-              "online BMMB: rate=%g, k=%d\ncomplete: %b\nmakespan: %g\n" rate
-              k res.Mmb.Runner.complete' res.Mmb.Runner.makespan;
-            let latencies = List.map snd res.Mmb.Runner.latencies in
-            (match latencies with
-            | [] -> print_endline "no completed messages"
-            | _ ->
-                let s = Dsim.Stats.summarize latencies in
-                Fmt.pr "latency: %a@." Dsim.Stats.pp_summary s);
-            `Ok ())
+  let action spec rate =
+    ret
+      (let* spec =
+         Mmb.Scenario.(validate { spec with arrivals = Poisson rate })
+       in
+       let* dual = dual_of spec in
+       let* policy = Mmb.Scenario.build_scheduler spec.scheduler in
+       let rng = Dsim.Rng.create ~seed:spec.seed in
+       let arrivals =
+         Mmb.Problem.poisson_arrivals rng ~n:(Graphs.Dual.n dual) ~k:spec.k
+           ~rate
+       in
+       let res =
+         Obs.Run.bmmb_online ~dual ~fack:spec.fack ~fprog:spec.fprog ~policy
+           ~arrivals ~seed:spec.seed ()
+       in
+       describe_dual dual;
+       Printf.printf "online BMMB: rate=%g, k=%d\ncomplete: %b\nmakespan: %g\n"
+         rate spec.k res.Mmb.Runner.complete' res.Mmb.Runner.makespan;
+       let latencies = List.map snd res.Mmb.Runner.latencies in
+       (match latencies with
+       | [] -> print_endline "no completed messages"
+       | _ ->
+           let s = Dsim.Stats.summarize latencies in
+           Fmt.pr "latency: %a@." Dsim.Stats.pp_summary s);
+       Ok ())
   in
-  let term =
-    Term.(
-      ret
-        (const action $ topology $ gprime $ n_arg $ k_arg $ r_arg $ extra_arg
-       $ fack_arg $ fprog_arg $ seed_arg $ scheduler_arg $ rate_arg))
-  in
+  let term = Term.(ret (const action $ spec_term $ rate_arg)) in
   Cmd.v
     (Cmd.info "online"
        ~doc:"Run BMMB with Poisson online arrivals and report latencies.")
@@ -860,30 +799,25 @@ let estimate_cmd =
     let doc = "JSONL trace file (produced with run --trace-out)." in
     Arg.(required & pos 0 (some file) None & info [] ~docv:"TRACE" ~doc)
   in
-  let action file topology gprime n r extra seed =
-    match Mmb.Scenario.build_dual ~topology ~gprime ~n ~r ~extra ~seed with
-    | Error e -> `Error (false, e)
-    | Ok dual -> (
-        match Dsim.Trace_io.read_file ~path:file with
-        | Error e -> `Error (false, "trace: " ^ e)
-        | Ok entries ->
-            let tr = Dsim.Trace.create () in
-            List.iter
-              (fun { Dsim.Trace.time; event } ->
-                Dsim.Trace.record tr ~time event)
-              entries;
-            let est = Amac.Estimate.estimate ~dual tr in
-            Fmt.pr
-              "estimated MAC parameters (lower bounds from the trace):@.  %a@."
-              Amac.Estimate.pp est;
-            `Ok ())
+  let action file spec =
+    ret
+      (let* spec = Mmb.Scenario.validate spec in
+       let* dual = dual_of spec in
+       let* entries =
+         Result.map_error
+           (fun e -> "trace: " ^ e)
+           (Dsim.Trace_io.read_file ~path:file)
+       in
+       let tr = Dsim.Trace.create () in
+       List.iter
+         (fun { Dsim.Trace.time; event } -> Dsim.Trace.record tr ~time event)
+         entries;
+       let est = Amac.Estimate.estimate ~dual tr in
+       Fmt.pr "estimated MAC parameters (lower bounds from the trace):@.  %a@."
+         Amac.Estimate.pp est;
+       Ok ())
   in
-  let term =
-    Term.(
-      ret
-        (const action $ trace_file $ topology $ gprime $ n_arg $ r_arg
-       $ extra_arg $ seed_arg))
-  in
+  let term = Term.(ret (const action $ trace_file $ net_term)) in
   Cmd.v
     (Cmd.info "estimate"
        ~doc:
@@ -953,44 +887,27 @@ let exec_cmd =
       value & opt (some string) None & info [ "json-out" ] ~docv:"FILE" ~doc)
   in
   let action file json_out =
-    let text =
-      let ic = open_in file in
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
+    let rec run_all acc = function
+      | [] -> Ok (List.rev acc)
+      | spec :: rest ->
+          let* runs = Mmb.Scenario.execute spec in
+          print_string (Mmb.Scenario.report spec runs);
+          print_newline ();
+          run_all (Mmb.Scenario.result_json spec runs :: acc) rest
     in
-    match Mmb.Scenario.expand_string text with
-    | Error e -> `Error (false, "scenario: " ^ e)
-    | Ok specs -> (
-        let rec run_all acc = function
-          | [] -> Ok (List.rev acc)
-          | spec :: rest -> (
-              match Mmb.Scenario.execute spec with
-              | Error e -> Error e
-              | Ok runs ->
-                  print_string (Mmb.Scenario.report spec runs);
-                  print_newline ();
-                  run_all ((spec, runs) :: acc) rest)
-        in
-        match run_all [] specs with
-        | Error e -> `Error (false, "scenario: " ^ e)
-        | Ok outcomes ->
-            (match json_out with
-            | None -> ()
-            | Some path ->
-                let oc = open_out path in
-                Fun.protect
-                  ~finally:(fun () -> close_out oc)
-                  (fun () ->
-                    output_string oc
-                      (Dsim.Json.to_string
-                         (Dsim.Json.List
-                            (List.map
-                               (fun (spec, runs) ->
-                                 Mmb.Scenario.result_json spec runs)
-                               outcomes))));
-                Printf.printf "results written to %s\n" path);
-            `Ok ())
+    ret
+      (let* results =
+         Result.map_error
+           (fun e -> "scenario: " ^ e)
+           (Result.bind (Mmb.Scenario.load_file file) (run_all []))
+       in
+       Option.iter
+         (fun path ->
+           Dsim.Json.write_file ~path (fun oc ->
+               output_string oc (Dsim.Json.to_string (Dsim.Json.List results)));
+           Printf.printf "results written to %s\n" path)
+         json_out;
+       Ok ())
   in
   let term = Term.(ret (const action $ file_arg $ json_out_arg)) in
   Cmd.v
@@ -1126,20 +1043,12 @@ let campaign_cmd =
           job_list
       in
       Array.iter (fun o -> print_string o.Exec.Campaign.output) outcomes;
-      (match out with
-      | None -> ()
-      | Some path ->
-          let oc = open_out path in
-          Fun.protect
-            ~finally:(fun () -> close_out oc)
-            (fun () ->
-              Array.iter
-                (fun o ->
-                  output_string oc
-                    (Dsim.Json.to_string o.Exec.Campaign.result);
-                  output_char oc '\n')
-                outcomes);
-          Printf.printf "results written to %s\n" path);
+      Option.iter
+        (fun path ->
+          Dsim.Json.write_jsonl ~path (fun emit ->
+              Array.iter (fun o -> emit o.Exec.Campaign.result) outcomes);
+          Printf.printf "results written to %s\n" path)
+        out;
       (match trace_out with
       | None -> ()
       | Some path ->

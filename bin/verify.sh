@@ -59,6 +59,40 @@ warn_gate() {
   fi
 }
 
+# Bad-input gate: each line below is an mmb_sim argument list that must
+# be rejected as a usage error (cmdliner's exit 124, not 125) whose
+# message names the offending spec field, never an uncaught exception.
+bad_inputs() {
+  err=$(mktemp)
+  status=0
+  while IFS= read -r args; do
+    # One line is one argument list: word splitting is intended.
+    # shellcheck disable=SC2086
+    _build/default/bin/mmb_sim.exe $args > /dev/null 2> "$err"
+    rc=$?
+    if [ "$rc" -ne 124 ] || grep -q "uncaught exception" "$err" ||
+      ! grep -q 'field "' "$err"; then
+      echo "not a usage error naming a field (exit $rc): mmb_sim $args"
+      cat "$err"
+      status=1
+    else
+      echo "rejected: mmb_sim $args -> $(head -n 1 "$err")"
+    fi
+  done <<EOF
+run -n 0
+run -g r-restricted -r 0
+run --fprog 30
+run --dynamic churn --epoch 0
+run --dynamic churn --churn-rate 2
+run --dynamic flap --dyn-period 0
+run --partitions 2 --scheduler eager
+online --rate 0
+sweep --param r --values 0 -g r-restricted
+EOF
+  rm -f "$err"
+  return $status
+}
+
 if [ "$MODE" = tsan ]; then
   # ThreadSanitizer instrumentation is a compiler feature (OCaml >= 5.2
   # built with tsan support); it lives in its own opam switch so the
@@ -118,6 +152,9 @@ else
         grep -q "churned-deliveries=" "$T/out" &&
         dune exec bin/mmb_sim.exe -- trace-validate "$T/metrics.jsonl"'
 
+    gate "bad-input gate (invalid flags: exit 124 naming the field)" \
+      bad_inputs
+
     # Perf-regression diff over the last two recorded BENCH_PERF entries.
     # Advisory: entries come from different machines/sessions, so a drop
     # is a prompt to re-measure, not proof of a regression.
@@ -127,6 +164,7 @@ else
     skip "bench/perf --smoke" "--quick"
     skip "trace smoke (run --check --trace-out/--provenance/--metrics + trace-validate)" "--quick"
     skip "churn smoke (run --dynamic churn --check --metrics + trace-validate)" "--quick"
+    skip "bad-input gate (invalid flags: exit 124 naming the field)" "--quick"
     skip "perf-diff (last two BENCH_PERF.json entries)" "--quick"
   fi
 

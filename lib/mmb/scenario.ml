@@ -40,81 +40,204 @@ type run_result = {
   epochs : int option;
 }
 
+let ( let* ) = Result.bind
+
+(* --- Vocabulary and defaults ---------------------------------------------- *)
+
+let topologies = [ "line"; "ring"; "grid"; "star"; "geometric" ]
+let gprimes = [ "equal"; "r-restricted"; "arbitrary"; "greyzone" ]
+let schedulers = [ "eager"; "random"; "adversarial"; "bursty" ]
+let protocols = [ "bmmb"; "fmmb"; "fmmb-online" ]
+let dynamic_kinds = [ "static"; "flap"; "churn"; "adversary" ]
+
+let field_error field msg = Printf.sprintf "field %S: %s" field msg
+
+let unknown value vocab =
+  Printf.sprintf "unknown value %S; known: %s" value (String.concat ", " vocab)
+
+let protocol_name = function
+  | `Bmmb -> "bmmb"
+  | `Fmmb -> "fmmb"
+  | `Fmmb_online -> "fmmb-online"
+
+let protocol_of_string = function
+  | "bmmb" -> Ok `Bmmb
+  | "fmmb" -> Ok `Fmmb
+  | "fmmb-online" -> Ok `Fmmb_online
+  | other -> Error (field_error "protocol" (unknown other protocols))
+
+let default_dynamic =
+  {
+    dyn_kind = "static";
+    dyn_epoch = 10.;
+    dyn_period = 1;
+    dyn_churn = 0.2;
+    dyn_seed = 0;
+  }
+
+let default =
+  {
+    name = "scenario";
+    protocol = `Bmmb;
+    topology = "line";
+    n = 30;
+    gprime = "equal";
+    r = 2;
+    extra = 10;
+    k = 4;
+    fack = 20.;
+    fprog = 1.;
+    seed = 1;
+    scheduler = "random";
+    arrivals = Batch;
+    check = false;
+    repeat = 1;
+    dynamic = None;
+    domains = 1;
+    partitions = 0;
+  }
+
+(* --- The validator -------------------------------------------------------- *)
+
+(* One row per constraint: the field it names, whether the spec meets it,
+   and what it needs.  The rows after the value checks are the capability
+   table: engine (serial, or partitioned when [partitions > 1]) ×
+   protocol × scheduler × arrivals × dynamic kind × [check]. *)
+let validate s =
+  let partitions = if s.partitions = 0 then max s.domains 1 else s.partitions in
+  let pdes = partitions > 1 in
+  let bmmb = s.protocol = `Bmmb in
+  let batch = match s.arrivals with Batch -> true | _ -> false in
+  let dyn ok = match s.dynamic with Some d -> ok d | None -> true in
+  let kind = match s.dynamic with Some d -> d.dyn_kind | None -> "static" in
+  let rows =
+    [
+      ("topology", List.mem s.topology topologies,
+       unknown s.topology topologies);
+      ("gprime", List.mem s.gprime gprimes,
+       unknown s.gprime gprimes);
+      ("scheduler", List.mem s.scheduler schedulers,
+       unknown s.scheduler schedulers);
+      ("dynamic.kind", List.mem kind dynamic_kinds,
+       unknown kind dynamic_kinds);
+      ("n", s.n >= 1, Printf.sprintf "need n >= 1 (got %d)" s.n);
+      ("k", s.k >= 0, Printf.sprintf "need k >= 0 (got %d)" s.k);
+      ("r", s.gprime <> "r-restricted" || s.r >= 1,
+       Printf.sprintf "need r >= 1 for gprime \"r-restricted\" (got %d)" s.r);
+      ("extra", s.extra >= 0,
+       Printf.sprintf "need extra >= 0 (got %d)" s.extra);
+      ("fprog", s.fprog > 0. && s.fprog <= s.fack,
+       Printf.sprintf "need 0 < fprog <= fack (got fprog %g, fack %g)" s.fprog
+         s.fack);
+      ("repeat", s.repeat >= 1,
+       Printf.sprintf "need repeat >= 1 (got %d)" s.repeat);
+      ("rate", (match s.arrivals with Poisson rate -> rate > 0. | _ -> true),
+       "need rate > 0 for poisson arrivals");
+      ("gap", (match s.arrivals with Staggered gap -> gap >= 0. | _ -> true),
+       "need gap >= 0 for staggered arrivals");
+      ("dynamic.epoch", dyn (fun d -> d.dyn_epoch > 0.), "need epoch > 0");
+      ("dynamic.period", dyn (fun d -> d.dyn_period >= 1),
+       "need period >= 1");
+      ("dynamic.churn", dyn (fun d -> d.dyn_churn >= 0. && d.dyn_churn <= 1.),
+       "need churn in [0, 1]");
+      ("domains", s.domains >= 1,
+       Printf.sprintf "need domains >= 1 (got %d)" s.domains);
+      ("partitions", s.partitions >= 0, "need partitions >= 0 (0 = auto)");
+      (* capability table *)
+      ("dynamic", Option.is_none s.dynamic || bmmb,
+       "protocol must be \"bmmb\" (FMMB's per-stage engines do not take \
+        epoch schedules)");
+      ("arrivals", s.protocol <> `Fmmb || batch,
+       "protocol \"fmmb\" takes batch arrivals only (use \"fmmb-online\")");
+      ("domains", s.domains <= partitions,
+       Printf.sprintf
+         "domains-exceed-partitions: %d worker domains cannot be mapped \
+          onto %d partition(s); raise \"partitions\" or lower \"domains\""
+         s.domains partitions);
+      ("partitions", (not pdes) || bmmb,
+       "the partitioned engine runs protocol \"bmmb\" only");
+      ("arrivals", (not pdes) || batch,
+       "the partitioned engine is batch-arrivals only");
+      ("scheduler", (not pdes) || s.scheduler = "random",
+       Printf.sprintf
+         "the partitioned engine fixes the \"random\" scheduler family (got \
+          %S)"
+         s.scheduler);
+      ("dynamic.kind", (not pdes) || kind <> "adversary",
+       "the adversary oracle needs global delivered-set knowledge and \
+        cannot be partitioned; use kind static, flap, or churn");
+      ("check", (not pdes) || not s.check,
+       "the partitioned engine retains no trace to audit; use partitions 1");
+    ]
+  in
+  match List.find_opt (fun (_, ok, _) -> not ok) rows with
+  | Some (field, _, need) -> Error (field_error field need)
+  | None -> Ok { s with partitions }
+
 (* --- Building blocks ----------------------------------------------------- *)
 
 let build_dual ~topology ~gprime ~n ~r ~extra ~seed =
   let rng = Dsim.Rng.create ~seed:(seed + 911) in
-  match gprime with
-  | "greyzone" ->
-      let side = sqrt (float_of_int n /. 3.) in
-      Ok
-        (Graphs.Dual.grey_zone_connected rng ~n ~width:side ~height:side
-           ~c:2. ~p:0.4 ~max_tries:2000)
-  | regime -> (
-      let base =
-        match topology with
-        | "line" -> Ok (Graphs.Gen.line n)
-        | "ring" -> Ok (Graphs.Gen.ring (max 3 n))
-        | "star" -> Ok (Graphs.Gen.star n)
-        | "grid" ->
-            let side = int_of_float (ceil (sqrt (float_of_int n))) in
-            Ok (Graphs.Gen.grid ~rows:side ~cols:side)
-        | "geometric" ->
-            let side = sqrt (float_of_int n /. 3.) in
-            let g, _ =
-              Graphs.Gen.random_connected_geometric rng ~n ~width:side
-                ~height:side ~radius:1. ~max_tries:2000
-            in
-            Ok g
-        | other -> Error (Printf.sprintf "unknown topology %S" other)
-      in
-      match base with
-      | Error e -> Error e
-      | Ok g -> (
-          match regime with
-          | "equal" -> Ok (Graphs.Dual.of_equal g)
-          | "r-restricted" ->
-              Ok (Graphs.Dual.r_restricted_random rng ~g ~r ~extra)
-          | "arbitrary" -> Ok (Graphs.Dual.arbitrary_random rng ~g ~extra)
-          | other -> Error (Printf.sprintf "unknown G' regime %S" other)))
+  let side = sqrt (float_of_int n /. 3.) in
+  if gprime = "greyzone" then
+    Ok
+      (Graphs.Dual.grey_zone_connected rng ~n ~width:side ~height:side ~c:2.
+         ~p:0.4 ~max_tries:2000)
+  else
+    let* g =
+      match topology with
+      | "line" -> Ok (Graphs.Gen.line n)
+      | "ring" -> Ok (Graphs.Gen.ring (max 3 n))
+      | "star" -> Ok (Graphs.Gen.star n)
+      | "grid" ->
+          let side = int_of_float (ceil (sqrt (float_of_int n))) in
+          Ok (Graphs.Gen.grid ~rows:side ~cols:side)
+      | "geometric" ->
+          (* The base graph draws from its own stream, so the G' regime's
+             draws below do not depend on how many placements it took. *)
+          let base_rng = Dsim.Rng.create ~seed:(seed + 7321) in
+          Ok
+            (fst
+               (Graphs.Gen.random_connected_geometric base_rng ~n ~width:side
+                  ~height:side ~radius:1. ~max_tries:2000))
+      | other -> Error (field_error "topology" (unknown other topologies))
+    in
+    match gprime with
+    | "equal" -> Ok (Graphs.Dual.of_equal g)
+    | "r-restricted" -> Ok (Graphs.Dual.r_restricted_random rng ~g ~r ~extra)
+    | "arbitrary" -> Ok (Graphs.Dual.arbitrary_random rng ~g ~extra)
+    | other -> Error (field_error "gprime" (unknown other gprimes))
 
 let build_scheduler = function
   | "eager" -> Ok (Amac.Schedulers.eager ())
   | "random" -> Ok (Amac.Schedulers.random_compliant ())
   | "adversarial" -> Ok (Amac.Schedulers.adversarial ())
   | "bursty" -> Ok (Amac.Schedulers.bursty ())
-  | other -> Error (Printf.sprintf "unknown scheduler %S" other)
+  | other -> Error (field_error "scheduler" (unknown other schedulers))
 
-(* The versioned dual a resolved [dynamic] sub-object describes, over the
+(* The versioned dual a validated [dynamic] sub-object describes, over the
    base (union) dual the static builders produced. *)
-let build_dyn ~dual dspec =
-  match dspec.dyn_kind with
-  | "static" -> Ok (Dyn.Dual.of_static dual)
+let build_dyn ~dual d =
+  let epoch_len = d.dyn_epoch in
+  match d.dyn_kind with
+  | "static" -> Dyn.Dual.of_static dual
   | "flap" ->
-      Ok
-        (Dyn.Dual.of_schedule
-           (Dyn.Schedule.flap ~base:dual ~epoch_len:dspec.dyn_epoch
-              ~period:dspec.dyn_period))
+      Dyn.Dual.of_schedule
+        (Dyn.Schedule.flap ~base:dual ~epoch_len ~period:d.dyn_period)
   | "churn" ->
-      Ok
-        (Dyn.Dual.of_schedule
-           (Dyn.Schedule.churn ~base:dual ~epoch_len:dspec.dyn_epoch
-              ~rate:dspec.dyn_churn ~seed:dspec.dyn_seed))
+      Dyn.Dual.of_schedule
+        (Dyn.Schedule.churn ~base:dual ~epoch_len ~rate:d.dyn_churn
+           ~seed:d.dyn_seed)
   | "adversary" ->
-      Ok
-        (Dyn.Dual.of_schedule
-           (Dyn.Schedule.adversary ~base:dual ~epoch_len:dspec.dyn_epoch
-              ~seed:dspec.dyn_seed))
+      Dyn.Dual.of_schedule
+        (Dyn.Schedule.adversary ~base:dual ~epoch_len ~seed:d.dyn_seed)
   | other ->
-      Error
-        (Printf.sprintf
-           "unknown dynamic kind %S; known kinds: static, flap, churn, \
-            adversary"
-           other)
+      invalid_arg (field_error "dynamic.kind" (unknown other dynamic_kinds))
+
+let dyn_factory ~dual spec =
+  Option.map (fun d () -> build_dyn ~dual d) spec.dynamic
 
 (* --- Parsing -------------------------------------------------------------- *)
-
-let ( let* ) = Result.bind
 
 (* Every field a scenario object may carry.  Anything else is almost
    certainly a typo silently replaced by a default, so we reject it with
@@ -127,9 +250,8 @@ let known_fields =
   ]
 
 let dynamic_fields = [ "kind"; "epoch"; "period"; "churn"; "seed" ]
-let dynamic_kinds = [ "static"; "flap"; "churn"; "adversary" ]
 
-let validate json =
+let check_fields json =
   match json with
   | Dsim.Json.Obj members -> (
       let unknown =
@@ -176,139 +298,90 @@ let validate json =
           | Some _ -> Error "field \"sweep\" must be an object"))
   | _ -> Error "a scenario must be a JSON object"
 
+(* Field parsing only: every constraint on the parsed values is
+   [validate]'s. *)
 let of_json json =
-  let* () = validate json in
-  let* name = Dsim.Json.member_str json "name" ~default:"scenario" in
-  let* protocol_str = Dsim.Json.member_str json "protocol" ~default:"bmmb" in
+  let* () = check_fields json in
+  let d = default in
+  let str key default = Dsim.Json.member_str json key ~default in
+  let int key default = Dsim.Json.member_int json key ~default in
+  let float key default = Dsim.Json.member_float json key ~default in
+  let* name = str "name" d.name in
   let* protocol =
-    match protocol_str with
-    | "bmmb" -> Ok `Bmmb
-    | "fmmb" -> Ok `Fmmb
-    | "fmmb-online" -> Ok `Fmmb_online
-    | other -> Error (Printf.sprintf "unknown protocol %S" other)
+    Result.bind (str "protocol" (protocol_name d.protocol)) protocol_of_string
   in
-  let* topology = Dsim.Json.member_str json "topology" ~default:"line" in
-  let* n = Dsim.Json.member_int json "n" ~default:30 in
-  let* gprime = Dsim.Json.member_str json "gprime" ~default:"equal" in
-  let* r = Dsim.Json.member_int json "r" ~default:2 in
-  let* extra = Dsim.Json.member_int json "extra" ~default:10 in
-  let* k = Dsim.Json.member_int json "k" ~default:4 in
-  let* fack = Dsim.Json.member_float json "fack" ~default:20. in
-  let* fprog = Dsim.Json.member_float json "fprog" ~default:1. in
-  let* seed = Dsim.Json.member_int json "seed" ~default:1 in
-  let* scheduler = Dsim.Json.member_str json "scheduler" ~default:"random" in
-  let* arrivals_str = Dsim.Json.member_str json "arrivals" ~default:"batch" in
+  let* topology = str "topology" d.topology in
+  let* n = int "n" d.n in
+  let* gprime = str "gprime" d.gprime in
+  let* r = int "r" d.r in
+  let* extra = int "extra" d.extra in
+  let* k = int "k" d.k in
+  let* fack = float "fack" d.fack in
+  let* fprog = float "fprog" d.fprog in
+  let* seed = int "seed" d.seed in
+  let* scheduler = str "scheduler" d.scheduler in
   let* arrivals =
-    match arrivals_str with
+    let* kind = str "arrivals" "batch" in
+    match kind with
     | "batch" -> Ok Batch
-    | "poisson" ->
-        let* rate = Dsim.Json.member_float json "rate" ~default:0.01 in
-        Ok (Poisson rate)
-    | "staggered" ->
-        let* gap = Dsim.Json.member_float json "gap" ~default:10. in
-        Ok (Staggered gap)
-    | other -> Error (Printf.sprintf "unknown arrivals %S" other)
+    | "poisson" -> Result.map (fun r -> Poisson r) (float "rate" 0.01)
+    | "staggered" -> Result.map (fun g -> Staggered g) (float "gap" 10.)
+    | other ->
+        Error
+          (field_error "arrivals"
+             (unknown other [ "batch"; "poisson"; "staggered" ]))
   in
   let* check =
     match Dsim.Json.member_opt json "check" with
-    | None -> Ok false
+    | None -> Ok d.check
     | Some v -> Dsim.Json.to_bool v
   in
-  let* repeat = Dsim.Json.member_int json "repeat" ~default:1 in
+  let* repeat = int "repeat" d.repeat in
   let* dynamic =
     match Dsim.Json.member_opt json "dynamic" with
     | None | Some Dsim.Json.Null -> Ok None
     | Some dyn ->
-        let* dyn_kind = Dsim.Json.member_str dyn "kind" ~default:"static" in
-        let* () =
-          if List.mem dyn_kind dynamic_kinds then Ok ()
-          else
-            Error
-              (Printf.sprintf "dynamic: unknown kind %S; known kinds: %s"
-                 dyn_kind
-                 (String.concat ", " dynamic_kinds))
+        let dd = default_dynamic in
+        let* dyn_kind = Dsim.Json.member_str dyn "kind" ~default:dd.dyn_kind in
+        let* dyn_epoch =
+          Dsim.Json.member_float dyn "epoch" ~default:dd.dyn_epoch
         in
-        let* dyn_epoch = Dsim.Json.member_float dyn "epoch" ~default:10. in
-        let* dyn_period = Dsim.Json.member_int dyn "period" ~default:1 in
-        let* dyn_churn = Dsim.Json.member_float dyn "churn" ~default:0.2 in
-        let* dyn_seed = Dsim.Json.member_int dyn "seed" ~default:0 in
-        if not (dyn_epoch > 0.) then Error "dynamic: need epoch > 0"
-        else if dyn_period < 1 then Error "dynamic: need period >= 1"
-        else if not (dyn_churn >= 0. && dyn_churn <= 1.) then
-          Error "dynamic: need churn in [0, 1]"
-        else Ok (Some { dyn_kind; dyn_epoch; dyn_period; dyn_churn; dyn_seed })
+        let* dyn_period =
+          Dsim.Json.member_int dyn "period" ~default:dd.dyn_period
+        in
+        let* dyn_churn =
+          Dsim.Json.member_float dyn "churn" ~default:dd.dyn_churn
+        in
+        let* dyn_seed = Dsim.Json.member_int dyn "seed" ~default:dd.dyn_seed in
+        Ok (Some { dyn_kind; dyn_epoch; dyn_period; dyn_churn; dyn_seed })
   in
-  let* domains = Dsim.Json.member_int json "domains" ~default:1 in
-  (* [partitions] 0 means auto: one partition per requested domain.  The
-     resolution uses the *requested* count (never the machine's core
-     count), so the resolved spec — a campaign cache key — is identical
-     on every host. *)
-  let* partitions = Dsim.Json.member_int json "partitions" ~default:0 in
-  let partitions = if partitions = 0 then max domains 1 else partitions in
-  if n < 1 then Error "need n >= 1"
-  else if gprime = "r-restricted" && r < 1 then
-    Error
-      (Printf.sprintf
-         "field \"r\": need r >= 1 for gprime \"r-restricted\" (got %d)" r)
-  else if k < 0 then Error "need k >= 0"
-  else if repeat < 1 then Error "need repeat >= 1"
-  else if not (fprog > 0. && fprog <= fack) then
-    Error "need 0 < fprog <= fack"
-  else if dynamic <> None && protocol <> `Bmmb then
-    Error
-      "dynamic: protocol must be \"bmmb\" (FMMB's per-stage engines do not \
-       take epoch schedules)"
-  else if domains < 1 then Error "need domains >= 1"
-  else if partitions < 1 then Error "need partitions >= 0 (0 = auto)"
-  else if domains > partitions then
-    Error
-      (Printf.sprintf
-         "domains-exceed-partitions: %d worker domains cannot be mapped \
-          onto %d partition(s); raise \"partitions\" or lower \"domains\""
-         domains partitions)
-  else if partitions > 1 && protocol <> `Bmmb then
-    Error "partitions: the partitioned engine runs protocol \"bmmb\" only"
-  else if
-    partitions > 1 && (match arrivals with Batch -> false | _ -> true)
-  then
-    Error "partitions: the partitioned engine is batch-arrivals only"
-  else if partitions > 1 && scheduler <> "random" then
-    Error
-      (Printf.sprintf
-         "partitions: the partitioned engine fixes the \"random\" \
-          scheduler family (got %S)"
-         scheduler)
-  else if
-    partitions > 1
-    && (match dynamic with
-       | Some d -> d.dyn_kind = "adversary"
-       | None -> false)
-  then
-    Error
-      "partitions: the adversary oracle needs global delivered-set \
-       knowledge and cannot be partitioned; use kind static, flap, or churn"
-  else
-    Ok
-      {
-        name;
-        protocol;
-        topology;
-        n;
-        gprime;
-        r;
-        extra;
-        k;
-        fack;
-        fprog;
-        seed;
-        scheduler;
-        arrivals;
-        check;
-        repeat;
-        dynamic;
-        domains;
-        partitions;
-      }
+  let* domains = int "domains" d.domains in
+  (* [partitions] 0 means auto: one partition per requested domain.
+     [validate] resolves it from the *requested* count (never the
+     machine's core count), so the resolved spec — a campaign cache key —
+     is identical on every host. *)
+  let* partitions = int "partitions" d.partitions in
+  validate
+    {
+      name;
+      protocol;
+      topology;
+      n;
+      gprime;
+      r;
+      extra;
+      k;
+      fack;
+      fprog;
+      seed;
+      scheduler;
+      arrivals;
+      check;
+      repeat;
+      dynamic;
+      domains;
+      partitions;
+    }
 
 let of_string text =
   let* json = Dsim.Json.parse text in
@@ -336,7 +409,7 @@ let override_path json param value =
       override json outer (override sub inner value)
 
 let expand json =
-  let* () = validate json in
+  let* () = check_fields json in
   match Dsim.Json.member_opt json "sweep" with
   | None ->
       let* spec = of_json json in
@@ -395,12 +468,7 @@ let spec_to_json spec =
   Dsim.Json.Obj
     ([
        ("name", Dsim.Json.String spec.name);
-       ( "protocol",
-         Dsim.Json.String
-           (match spec.protocol with
-           | `Bmmb -> "bmmb"
-           | `Fmmb -> "fmmb"
-           | `Fmmb_online -> "fmmb-online") );
+       ("protocol", Dsim.Json.String (protocol_name spec.protocol));
        ("topology", Dsim.Json.String spec.topology);
        ("n", num_i spec.n);
        ("gprime", Dsim.Json.String spec.gprime);
@@ -445,6 +513,17 @@ let spec_to_json spec =
 
 (* --- Execution ------------------------------------------------------------ *)
 
+(* Timed arrivals for the online runners; [Batch] injects everything at
+   time zero. *)
+let timed_arrivals spec rng ~n =
+  match spec.arrivals with
+  | Batch -> Problem.at_time_zero (Problem.random rng ~n ~k:spec.k)
+  | Poisson rate -> Problem.poisson_arrivals rng ~n ~k:spec.k ~rate
+  | Staggered gap ->
+      Problem.staggered_arrivals ~node:(Dsim.Rng.int rng n) ~k:spec.k ~gap
+
+(* [spec] is validated: its vocabulary is known and its engine supports
+   its protocol, scheduler, arrivals and dynamics. *)
 let run_once spec ~seed =
   let* dual =
     build_dual ~topology:spec.topology ~gprime:spec.gprime ~n:spec.n ~r:spec.r
@@ -455,29 +534,15 @@ let run_once spec ~seed =
   match spec.protocol with
   | `Bmmb -> (
       let* policy = build_scheduler spec.scheduler in
-      let* dyn =
-        match spec.dynamic with
-        | None -> Ok None
-        | Some d ->
-            let* dd = build_dyn ~dual d in
-            Ok (Some dd)
-      in
+      let mk_dyn = dyn_factory ~dual spec in
+      let dyn = Option.map (fun mk -> mk ()) mk_dyn in
       (* Epoch windows entered by the end of the run (1 for static). *)
       let epochs_of () = Option.map (fun d -> Dyn.Dual.epoch d + 1) dyn in
       match spec.arrivals with
       | Batch when spec.partitions > 1 ->
-          (* Partitioned engine: [dyn] above is discarded in favor of a
-             per-partition factory (each partition owns a private
-             wrapper; validation already rejected the adversary). *)
+          (* Partitioned engine: each partition builds its own wrapper from
+             the factory. *)
           let assignment = Problem.random rng ~n ~k:spec.k in
-          let mk_dyn =
-            Option.map
-              (fun d () ->
-                match build_dyn ~dual d with
-                | Ok dd -> dd
-                | Error e -> failwith e)
-              spec.dynamic
-          in
           let res =
             Runner.run_bmmb_pdes ~dual ~fack:spec.fack ~fprog:spec.fprog
               ~policy ~assignment ~seed ~partitions:spec.partitions
@@ -512,17 +577,10 @@ let run_once spec ~seed =
               epochs = epochs_of ();
             }
       | Poisson _ | Staggered _ ->
-          let arrivals =
-            match spec.arrivals with
-            | Poisson rate -> Problem.poisson_arrivals rng ~n ~k:spec.k ~rate
-            | Staggered gap ->
-                Problem.staggered_arrivals ~node:(Dsim.Rng.int rng n)
-                  ~k:spec.k ~gap
-            | Batch -> assert false
-          in
           let res =
             Runner.run_bmmb_online ~dual ~fack:spec.fack ~fprog:spec.fprog
-              ~policy ~arrivals ~seed ~check_compliance:spec.check ?dyn ()
+              ~policy ~arrivals:(timed_arrivals spec rng ~n) ~seed
+              ~check_compliance:spec.check ?dyn ()
           in
           Ok
             {
@@ -535,36 +593,27 @@ let run_once spec ~seed =
               violations = List.length res.Runner.compliance_violations';
               epochs = epochs_of ();
             })
-  | `Fmmb -> (
-      match spec.arrivals with
-      | Batch ->
-          let assignment = Problem.random rng ~n ~k:spec.k in
-          let res =
-            Runner.run_fmmb ~dual ~fprog:spec.fprog ~c:2.
-              ~policy:(Amac.Enhanced_mac.minimal_random ())
-              ~assignment ~seed ()
-          in
-          Ok
-            {
-              seed;
-              complete = res.Runner.fmmb.Fmmb.complete;
-              time = res.Runner.fmmb.Fmmb.time;
-              bound = None;
-              bcasts = None;
-              mean_latency = None;
-              violations = 0;
-              epochs = None;
-            }
-      | _ -> Error "protocol fmmb supports batch arrivals only (use fmmb-online)")
-  | `Fmmb_online ->
-      let arrivals =
-        match spec.arrivals with
-        | Batch -> Problem.at_time_zero (Problem.random rng ~n ~k:spec.k)
-        | Poisson rate -> Problem.poisson_arrivals rng ~n ~k:spec.k ~rate
-        | Staggered gap ->
-            Problem.staggered_arrivals ~node:(Dsim.Rng.int rng n) ~k:spec.k
-              ~gap
+  | `Fmmb ->
+      (* Batch only: [validate] rejects other arrivals. *)
+      let assignment = Problem.random rng ~n ~k:spec.k in
+      let res =
+        Runner.run_fmmb ~dual ~fprog:spec.fprog ~c:2.
+          ~policy:(Amac.Enhanced_mac.minimal_random ())
+          ~assignment ~seed ()
       in
+      Ok
+        {
+          seed;
+          complete = res.Runner.fmmb.Fmmb.complete;
+          time = res.Runner.fmmb.Fmmb.time;
+          bound = None;
+          bcasts = None;
+          mean_latency = None;
+          violations = 0;
+          epochs = None;
+        }
+  | `Fmmb_online ->
+      let arrivals = timed_arrivals spec rng ~n in
       let tracker = Problem.tracker_timed ~dual arrivals in
       let res =
         Fmmb_online.run ~dual ~fprog:spec.fprog
@@ -597,6 +646,7 @@ let run_once spec ~seed =
         }
 
 let execute spec =
+  let* spec = validate spec in
   let rec go acc i =
     if i >= spec.repeat then Ok (List.rev acc)
     else

@@ -17,9 +17,10 @@
 
     Protocols: ["bmmb"] (standard model; arrivals [batch]/[poisson]/
     [staggered]), ["fmmb"] (enhanced model, batch), ["fmmb-online"]
-    (enhanced model, any arrivals, k-oblivious).  Topologies: [line],
-    [ring], [star], [grid], [geometric].  G' regimes: [equal],
-    [r-restricted], [arbitrary], [greyzone]. *)
+    (enhanced model, any arrivals, k-oblivious).  The accepted topologies,
+    G' regimes, schedulers and dynamic kinds are {!topologies},
+    {!gprimes}, {!schedulers} and {!dynamic_kinds}; {!validate} holds
+    every other constraint. *)
 
 type arrivals =
   | Batch
@@ -83,6 +84,39 @@ type run_result = {
   epochs : int option;  (** epoch windows entered (dynamic runs only) *)
 }
 
+(** {1 Vocabulary and defaults}
+
+    The lists the validator checks against, in the order error messages
+    and the CLI's help text render them. *)
+
+val topologies : string list
+val gprimes : string list
+val schedulers : string list
+val protocols : string list
+val dynamic_kinds : string list
+
+val protocol_of_string :
+  string -> ([ `Bmmb | `Fmmb | `Fmmb_online ], string) result
+
+val default : spec
+(** Every field's default, as a scenario file without the field gets it
+    ([partitions = 0], auto, until {!validate} resolves it). *)
+
+val default_dynamic : dyn_spec
+(** The defaults of the [dynamic] sub-object's fields. *)
+
+(** {1 The front door} *)
+
+val validate : spec -> (spec, string) result
+(** The one check every spec passes before it runs, from a scenario file
+    or from [mmb_sim] flags: every vocabulary field is known, every
+    numeric field is in range, and the engine ([partitions > 1] selects
+    the partitioned one) supports the protocol × scheduler × arrivals ×
+    dynamic kind × [check] combination.  An [Error] starts with
+    [field "NAME":] and, for an unknown value, lists the vocabulary.
+    [Ok] carries the spec with [partitions = 0] resolved to
+    [max domains 1]. *)
+
 (** {1 Building blocks} (also used by the CLI) *)
 
 val build_dual :
@@ -93,21 +127,25 @@ val build_dual :
   extra:int ->
   seed:int ->
   (Graphs.Dual.t, string) result
+(** The regime's draws come from a [seed + 911] stream; a geometric base
+    graph is placed from its own [seed + 7321] stream. *)
 
 val build_scheduler : string -> (int Amac.Mac_intf.policy, string) result
 
-val build_dyn : dual:Graphs.Dual.t -> dyn_spec -> (Dyn.Dual.t, string) result
-(** The versioned dual a resolved [dynamic] sub-object describes; [dual]
-    is the base (union) dual from {!build_dual}. *)
+val dyn_factory :
+  dual:Graphs.Dual.t -> spec -> (unit -> Dyn.Dual.t) option
+(** For a validated spec with a [dynamic] sub-object: a factory of fresh
+    versioned duals over the base (union) [dual] from {!build_dual} — one
+    call for the serial engine, one per partition for the partitioned
+    engine. *)
 
 (** {1 Scenario pipeline} *)
 
-val validate : Dsim.Json.t -> (unit, string) result
-(** Reject unknown fields (typos silently swallowed by defaults otherwise)
-    with a message listing the full field vocabulary.  [of_json] and
-    [expand] call this for you. *)
-
 val of_json : Dsim.Json.t -> (spec, string) result
+(** Parse a scenario object and {!validate} it.  Unknown fields (typos
+    otherwise silently swallowed by defaults) are rejected with the full
+    field vocabulary. *)
+
 val of_string : string -> (spec, string) result
 
 val load_file : string -> (spec list, string) result
@@ -128,7 +166,8 @@ val expand : Dsim.Json.t -> (spec list, string) result
 val expand_string : string -> (spec list, string) result
 
 val execute : spec -> (run_result list, string) result
-(** One run per repeat, seeds [spec.seed, spec.seed+1, ...]. *)
+(** {!validate}, then one run per repeat, seeds [spec.seed, spec.seed+1,
+    ...]. *)
 
 val report : spec -> run_result list -> string
 (** Human-readable table. *)

@@ -72,6 +72,40 @@ let test_estimate_on_decay_mac () =
     true
     (est.Amac.Estimate.est_fprog < est.Amac.Estimate.est_fack /. 4.)
 
+(* [mmb_sim estimate] rebuilds the run's network from the same flags
+   through [Scenario.build_dual].  A geometric base graph must come out as
+   the one [mmb_sim run] simulated (|E| = 90 for n = 30, seed 1; a second
+   RNG discipline once gave 94 edges and an Fprog estimate of 15.1 for a
+   run with Fprog = 1). *)
+let test_estimate_rebuilds_the_run_network () =
+  let build () =
+    match
+      Mmb.Scenario.build_dual ~topology:"geometric" ~gprime:"equal" ~n:30
+        ~r:2 ~extra:10 ~seed:1
+    with
+    | Ok dual -> dual
+    | Error e -> Alcotest.fail e
+  in
+  let dual = build () in
+  Alcotest.(check int) "|E| of the run's network" 90
+    (Graphs.Graph.m (Graphs.Dual.reliable dual));
+  let fprog = 1. in
+  let res =
+    Mmb.Runner.run_bmmb ~dual ~fack:20. ~fprog
+      ~policy:(Amac.Schedulers.random_compliant ())
+      ~assignment:(Mmb.Problem.random (Dsim.Rng.create ~seed:1) ~n:30 ~k:4)
+      ~seed:1 ~check_compliance:true ()
+  in
+  match res.Mmb.Runner.trace with
+  | None -> Alcotest.fail "no trace"
+  | Some tr ->
+      let est = Amac.Estimate.estimate ~dual:(build ()) tr in
+      Alcotest.(check bool)
+        (Printf.sprintf "est Fprog (%.6f) <= the run's Fprog"
+           est.Amac.Estimate.est_fprog)
+        true
+        (est.Amac.Estimate.est_fprog <= fprog +. 1e-3)
+
 let suite =
   [
     ( "amac.estimate",
@@ -80,6 +114,8 @@ let suite =
           test_estimates_engine_parameters;
         Alcotest.test_case "eager traces look fast" `Quick
           test_eager_trace_estimates_small;
+        Alcotest.test_case "rebuilds the run's geometric network" `Quick
+          test_estimate_rebuilds_the_run_network;
         Alcotest.test_case "decay MAC: empirical Fprog << Fack" `Slow
           test_estimate_on_decay_mac;
       ] );

@@ -100,19 +100,34 @@ let test_scenario_defaults () =
       Alcotest.(check int) "default n" 30 spec.Mmb.Scenario.n;
       Alcotest.(check int) "default repeat" 1 spec.Mmb.Scenario.repeat
 
+(* Each bad config with the text its error must carry: the field it
+   names, or for malformed JSON the parse offset. *)
 let test_scenario_rejects_bad_config () =
   List.iter
-    (fun cfg ->
+    (fun (cfg, needle) ->
       match Mmb.Scenario.of_string cfg with
       | Ok _ -> Alcotest.failf "accepted %s" cfg
-      | Error _ -> ())
+      | Error e ->
+          Alcotest.(check bool)
+            (Printf.sprintf "error %S mentions %S" e needle)
+            true
+            (Analysis.Paths.find_substring ~sub:needle e <> None))
     [
-      {|{"protocol": "quantum"}|};
-      {|{"n": 0}|};
-      {|{"fprog": 5, "fack": 1}|};
-      {|{"arrivals": "sometimes"}|};
-      {|{"repeat": 0}|};
-      {|not json|};
+      ({|{"protocol": "quantum"}|}, {|field "protocol"|});
+      ({|{"n": 0}|}, {|field "n"|});
+      ({|{"fprog": 5, "fack": 1}|}, {|field "fprog"|});
+      ({|{"arrivals": "sometimes"}|}, {|field "arrivals"|});
+      ({|{"repeat": 0}|}, {|field "repeat"|});
+      ({|not json|}, "offset");
+      ({|{"arrivals": "poisson", "rate": 0}|}, {|field "rate"|});
+      ({|{"arrivals": "poisson", "rate": -1}|}, {|field "rate"|});
+      ({|{"arrivals": "staggered", "gap": -1}|}, {|field "gap"|});
+      ({|{"gprime": "arbitrary", "extra": -1}|}, {|field "extra"|});
+      ({|{"topology": "torus"}|}, "line, ring, grid, star, geometric");
+      ({|{"gprime": "lossy"}|}, "equal, r-restricted, arbitrary, greyzone");
+      ({|{"scheduler": "lazy"}|}, "eager, random, adversarial, bursty");
+      ({|{"protocol": "fmmb", "arrivals": "poisson"}|}, {|field "arrivals"|});
+      ({|{"check": true, "partitions": 2}|}, {|field "check"|});
     ]
 
 let test_scenario_bmmb_batch () =
@@ -151,10 +166,15 @@ let test_scenario_online () =
         (r.Mmb.Scenario.mean_latency <> None)
   | Ok _ -> Alcotest.fail "expected one run"
 
+(* The loader rejects this spec (see the table above); a spec built in
+   code reaches [execute], which validates it too. *)
 let test_scenario_fmmb_rejects_online () =
   let spec =
-    Result.get_ok
-      (Mmb.Scenario.of_string {|{"protocol":"fmmb","arrivals":"poisson"}|})
+    {
+      Mmb.Scenario.default with
+      protocol = `Fmmb;
+      arrivals = Mmb.Scenario.Poisson 0.01;
+    }
   in
   Alcotest.(check bool) "fmmb+poisson rejected" true
     (Result.is_error (Mmb.Scenario.execute spec))

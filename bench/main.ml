@@ -59,6 +59,12 @@ let parse_args argv =
   in
   go (Some "bench-metrics.jsonl") None None [] (List.tl (Array.to_list argv))
 
+(* Wall seconds since start-up for the sidecar and the campaign, from
+   CLOCK_MONOTONIC.  [Sys.time] is process CPU summed over every domain. *)
+let wall_clock =
+  let origin = Monotonic_clock.now () in
+  fun () -> Int64.to_float (Int64.sub (Monotonic_clock.now ()) origin) *. 1e-9
+
 let sidecar_line sidecar ~label ~wall_s delta =
   Option.iter
     (fun oc ->
@@ -74,10 +80,10 @@ let run_serial sidecar requested =
   List.iter
     (fun (id, e) ->
       let before = Obs.Global.snapshot () in
-      let t0 = Sys.time () in
+      let t0 = wall_clock () in
       let results = List.map (fun c -> c.Exec.Job.run ()) e.Exp.cells in
       e.Exp.render results;
-      let wall_s = Sys.time () -. t0 in
+      let wall_s = wall_clock () -. t0 in
       let after = Obs.Global.snapshot () in
       sidecar_line sidecar ~label:id ~wall_s (Obs.Global.diff ~before ~after))
     requested
@@ -108,7 +114,7 @@ let run_campaign sidecar trace_out requested jobs =
   in
   let cells = List.concat_map (fun (_, e) -> e.Exp.cells) requested in
   let outcomes, stats =
-    Exec.Campaign.run ~jobs ~salt ~cache ~manifest ~clock:Sys.time cells
+    Exec.Campaign.run ~jobs ~salt ~cache ~manifest ~clock:wall_clock cells
   in
   (* Deterministic merge: replay each experiment's captured cell output in
      cell order, then render its tables, exactly as the serial path would
@@ -121,10 +127,10 @@ let run_campaign sidecar trace_out requested jobs =
       cursor := !cursor + k;
       Array.iter (fun o -> Exec.Sink.emit o.Exec.Campaign.output) mine;
       let before = Obs.Global.snapshot () in
-      let t0 = Sys.time () in
+      let t0 = wall_clock () in
       e.Exp.render
         (Array.to_list (Array.map (fun o -> o.Exec.Campaign.result) mine));
-      let render_wall = Sys.time () -. t0 in
+      let render_wall = wall_clock () -. t0 in
       let render_delta =
         Obs.Global.diff ~before ~after:(Obs.Global.snapshot ())
       in

@@ -1,110 +1,47 @@
-(* Perf-regression gate over benchmark history.
+(* Regression verdicts between two runs of the ledger benchmark.
 
-     mmb_perf_diff [OPTIONS] BENCH_PERF.json
-     mmb_perf_diff [OPTIONS] BASE.jsonl CAND.jsonl
+     mmb_perf_diff BASE CAND
 
-   One file: compare two entries of a mmb-bench-perf/1 history (default
-   the last two, i.e. --base -2 --cand -1).  Two files: compare engine
-   metrics sidecars label-by-label, where determinism also requires the
-   per-benchmark event counts to match exactly.
-
-   Exit 0 when every benchmark passes (incomparable findings included —
-   they are warnings, not verdicts), 1 on a measured regression unless
-   --warn-only, 2 on usage or unreadable input.  bin/verify.sh runs this
-   with --warn-only so perf noise never blocks the build. *)
+   BASE and CAND are the saved stdout of two
+   [python3 bench/ledger/run.py --workload W] runs; the metrics, their
+   bounds and directions come from BENCHMARK.json, read from the current
+   directory (the repository root, as run.py requires).  Verdicts are
+   Obs.Perf_diff's.  Exit 0 when nothing regressed (incomparable
+   findings included: they are printed, not verdicts), 1 on a
+   regression, 2 on usage errors or unreadable input. *)
 
 let usage =
-  {|usage: mmb_perf_diff [OPTIONS] BENCH_PERF.json
-       mmb_perf_diff [OPTIONS] BASE.jsonl CAND.jsonl
+  {|usage: mmb_perf_diff BASE CAND
 
-Compare two benchmark measurements and flag perf regressions.
-
-options:
-  --base SEL            base entry: integer index (negative from the end,
-                        default -2) or a label substring (newest match)
-  --cand SEL            candidate entry (default -1), same forms
-  --max-rate-drop PCT   tolerated events/sec drop (default 15)
-  --max-alloc-rise PCT  tolerated minor-words/event rise (default 25)
-  --warn-only           report regressions but exit 0
-  --help                this text
+Judge the ledger run saved in CAND against the one saved in BASE (each the
+stdout of bench/ledger/run.py --workload W) by the bounds in BENCHMARK.json.
+Run from the repository root.  Exit 0: no regression; 1: a regression;
+2: unreadable input.
 |}
 
-let die fmt = Printf.ksprintf (fun s -> prerr_endline s; exit 2) fmt
+let die fmt =
+  Printf.ksprintf
+    (fun s ->
+      prerr_endline s;
+      exit 2)
+    fmt
 
-let read_file path =
-  match
-    let ic = open_in path in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
-  | exception Sys_error e -> die "%s" e
-  | text -> text
-
-let float_arg name v =
-  match float_of_string_opt v with
-  | Some f when f >= 0. -> f
-  | _ -> die "%s needs a non-negative number, got %S" name v
+let read path =
+  match Dsim.Json.read_file path with
+  | Ok text -> text
+  | Error e -> die "mmb_perf_diff: %s" e
 
 let () =
-  let base = ref (Obs.Perf_diff.Index (-2)) in
-  let cand = ref (Obs.Perf_diff.Index (-1)) in
-  let thresholds = ref Obs.Perf_diff.default_thresholds in
-  let warn_only = ref false in
-  let files = ref [] in
-  let rec parse = function
-    | [] -> ()
-    | "--help" :: _ ->
-        print_string usage;
-        exit 0
-    | "--warn-only" :: rest ->
-        warn_only := true;
-        parse rest
-    | "--base" :: v :: rest ->
-        base := Obs.Perf_diff.selector_of_string v;
-        parse rest
-    | "--cand" :: v :: rest ->
-        cand := Obs.Perf_diff.selector_of_string v;
-        parse rest
-    | "--max-rate-drop" :: v :: rest ->
-        thresholds :=
-          { !thresholds with max_rate_drop_pct = float_arg "--max-rate-drop" v };
-        parse rest
-    | "--max-alloc-rise" :: v :: rest ->
-        thresholds :=
-          { !thresholds with max_alloc_rise_pct = float_arg "--max-alloc-rise" v };
-        parse rest
-    | arg :: _ when String.length arg > 1 && arg.[0] = '-' ->
-        die "unknown option %s\n%s" arg usage
-    | file :: rest ->
-        files := file :: !files;
-        parse rest
-  in
-  parse (List.tl (Array.to_list Sys.argv));
-  let ok_or_die = function Ok v -> v | Error e -> die "%s" e in
-  let report =
-    match List.rev !files with
-    | [ history ] ->
-        let entries =
-          ok_or_die (Obs.Perf_diff.entries_of_string (read_file history))
-        in
-        let b = ok_or_die (Obs.Perf_diff.select entries !base) in
-        let c = ok_or_die (Obs.Perf_diff.select entries !cand) in
-        Obs.Perf_diff.compare_entries ~thresholds:!thresholds b c
-    | [ base_file; cand_file ] ->
-        let b =
-          ok_or_die
-            (Obs.Perf_diff.sidecar_of_string ~label:base_file
-               (read_file base_file))
-        in
-        let c =
-          ok_or_die
-            (Obs.Perf_diff.sidecar_of_string ~label:cand_file
-               (read_file cand_file))
-        in
-        Obs.Perf_diff.compare_entries ~require_equal_events:true
-          ~thresholds:!thresholds b c
-    | _ -> die "expected one history file or two sidecar files\n%s" usage
-  in
-  List.iter print_endline (Obs.Perf_diff.to_lines report);
-  if Obs.Perf_diff.regressions report > 0 && not !warn_only then exit 1
+  match List.tl (Array.to_list Sys.argv) with
+  | [ "--help" ] -> print_string usage
+  | [ base; cand ]
+    when not (List.exists (String.starts_with ~prefix:"-") [ base; cand ]) -> (
+      match
+        Obs.Perf_diff.judge ~spec:(read "BENCHMARK.json") ~base:(read base)
+          ~cand:(read cand)
+      with
+      | Error e -> die "mmb_perf_diff: %s" e
+      | Ok findings ->
+          List.iter print_endline (Obs.Perf_diff.to_lines findings);
+          if Obs.Perf_diff.regressions findings > 0 then exit 1)
+  | _ -> die "%s" (String.trim usage)

@@ -14,6 +14,14 @@ open Cmdliner
 
 let ( let* ) = Result.bind
 let ret = function Ok () -> `Ok () | Error e -> `Error (false, e)
+
+(* Wall seconds since start-up for telemetry, from CLOCK_MONOTONIC.
+   [Sys.time] is process CPU summed over every domain, so it overstates
+   a worker's busy time. *)
+let wall_clock =
+  let origin = Monotonic_clock.now () in
+  fun () -> Int64.to_float (Int64.sub (Monotonic_clock.now ()) origin) *. 1e-9
+
 let defaults = Mmb.Scenario.default
 let vocab names = String.concat " | " names
 
@@ -306,7 +314,7 @@ let run_bmmb (spec : Mmb.Scenario.spec) ~dual ~trace ~trace_out ~provenance
     sim_ref := Some sim;
     (* Wall time is injected from outside the library (lint rule D3);
        it only feeds volatile gauges, never the default export. *)
-    Dsim.Sim.set_wall_clock sim Sys.time;
+    Dsim.Sim.set_wall_clock sim wall_clock;
     match (obs, progress) with
     | Some o, Some interval ->
         let interval = if interval <= 0. then 10. else interval in
@@ -1039,7 +1047,7 @@ let campaign_cmd =
       in
       let jobs = Exec.Pool.resolve_jobs ~requested:jobs in
       let outcomes, stats =
-        Exec.Campaign.run ~jobs ~salt ?cache ~manifest ~clock:Sys.time
+        Exec.Campaign.run ~jobs ~salt ?cache ~manifest ~clock:wall_clock
           job_list
       in
       Array.iter (fun o -> print_string o.Exec.Campaign.output) outcomes;

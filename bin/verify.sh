@@ -1,8 +1,9 @@
 #!/bin/sh
 # Tier-1 verify in one command (see ROADMAP.md).
 #
-#   bin/verify.sh           analyzers + build + tests + perf smoke
-#   bin/verify.sh --quick   analyzers + build + tests (skip perf smoke)
+#   bin/verify.sh           analyzers + build + tests + smokes + ledger
+#                           selftest + comparator contract
+#   bin/verify.sh --quick   analyzers + build + tests (skip the rest)
 #   bin/verify.sh --full    default + randomized-hash runtest + analyzer
 #                           fixture suites
 #   bin/verify.sh --tsan    multi-domain exec tests under ThreadSanitizer
@@ -43,20 +44,6 @@ skip() {
   echo "== $1 (skipped: $2)"
   SUMMARY="${SUMMARY}SKIP  $1 ($2)
 "
-}
-
-# Like gate, but a failure is advisory: it WARNs in the summary and does
-# not fail the build (perf comparisons on shared runners are noisy).
-warn_gate() {
-  name=$1; shift
-  echo "== $name"
-  if "$@"; then
-    SUMMARY="${SUMMARY}PASS  ${name}
-"
-  else
-    SUMMARY="${SUMMARY}WARN  ${name} (advisory, not fatal)
-"
-  fi
 }
 
 # Bad-input gate: each line below is an mmb_sim argument list that must
@@ -125,11 +112,11 @@ else
   gate "dune runtest" dune runtest
 
   if [ "$MODE" != quick ]; then
-    # Perf-suite smoke: asserts the benchmark harness runs end to end
-    # and emits parseable JSON (perf.exe self-validates under --smoke).
-    # Timings at smoke scale mean nothing and are discarded.
-    gate "bench/perf --smoke" \
-      sh -c 'dune exec bench/perf/perf.exe -- --smoke > /dev/null'
+    # Ledger selftest: every workload, the mega path included, runs at a
+    # tiny scale with no failure and reports every metric BENCHMARK.json
+    # names.  Timings at that scale mean nothing and are discarded.
+    gate "ledger selftest (run.py --selftest)" \
+      python3 bench/ledger/run.py --selftest
 
     # Trace smoke: a tiny run must produce Perfetto, provenance and
     # metrics exports that self-validate (schema + per-event shape), and
@@ -155,17 +142,26 @@ else
     gate "bad-input gate (invalid flags: exit 124 naming the field)" \
       bad_inputs
 
-    # Perf-regression diff over the last two recorded BENCH_PERF entries.
-    # Advisory: entries come from different machines/sessions, so a drop
-    # is a prompt to re-measure, not proof of a regression.
-    warn_gate "perf-diff (last two BENCH_PERF.json entries)" \
-      sh -c 'dune exec bin/mmb_perf_diff.exe -- BENCH_PERF.json'
+    # Comparator contract: one real fig1_sweep ledger run judged against
+    # itself must pass every end-to-end metric, with nothing
+    # incomparable.  This pins the format run.py prints to the one
+    # mmb_perf_diff reads.
+    gate "perf-diff contract (fig1_sweep ledger run vs itself)" \
+      sh -c 'T=$(mktemp -d) && trap "rm -rf $T" 0 &&
+        python3 bench/ledger/run.py --workload fig1_sweep --seconds 0 \
+          > "$T/run" &&
+        dune exec bin/mmb_perf_diff.exe -- "$T/run" "$T/run" > "$T/diff" &&
+        cat "$T/diff" && ! grep -q INCOMPARABLE "$T/diff" &&
+        python3 -c "import json, sys
+want = {m[\"name\"] for m in json.load(open(\"BENCHMARK.json\"))[\"end_to_end\"]}
+got = {l.split()[1] for l in open(sys.argv[1]) if l.startswith(\"PASS \")}
+sys.exit(not want <= got)" "$T/diff"'
   else
-    skip "bench/perf --smoke" "--quick"
+    skip "ledger selftest (run.py --selftest)" "--quick"
     skip "trace smoke (run --check --trace-out/--provenance/--metrics + trace-validate)" "--quick"
     skip "churn smoke (run --dynamic churn --check --metrics + trace-validate)" "--quick"
     skip "bad-input gate (invalid flags: exit 124 naming the field)" "--quick"
-    skip "perf-diff (last two BENCH_PERF.json entries)" "--quick"
+    skip "perf-diff contract (fig1_sweep ledger run vs itself)" "--quick"
   fi
 
   if [ "$MODE" = full ]; then

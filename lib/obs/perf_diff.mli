@@ -1,83 +1,43 @@
-(** Perf-regression comparison between two benchmark measurements.
+(** Regression verdicts between two runs of the ledger benchmark.
 
-    Compares a {e base} and a {e candidate} entry — either two entries
-    of a [BENCH_PERF.json] history ([mmb-bench-perf/1]) or two engine
-    metrics sidecars (the [{"kind":"engine",...}] JSONL that
-    [bench/main.exe] writes) — benchmark by benchmark against drop/rise
-    thresholds.
+    {!judge} reads three texts: [BENCHMARK.json] and the saved stdout of
+    two [bench/ledger/run.py --workload W] runs, each a host line
+    [{"host": {...}}] followed by a result line
+    [{"correct": ..., "attempted": ..., "failed": ..., "metrics": {...}}].
+    It reads no file itself.
 
-    A benchmark that cannot be compared honestly is {!Incomparable},
-    never silently passed: missing from the candidate, zero or absent
-    baseline rate, or (sidecar mode) a changed event count, which means
-    the two runs measured different work.
+    - {b End-to-end metrics.} Each one present in either run is {!Pass}
+      or {!Regression}, judged by its relative change in its own
+      [better] direction against its own [bound] from [BENCHMARK.json].
+      A change exactly at the bound passes.
+    - {b Failure share.} A larger [failed / attempted] in the candidate
+      is a {!Regression}.
+    - {b Exact counts.} A per-layer metric with unit [count] that
+      differs ([dsim.events], [pdes.windows], ...) is {!Incomparable}:
+      the two runs did different work.  Other per-layer metrics have no
+      bound and are not judged.
+    - {b Otherwise incomparable.} Different host records (then nothing
+      else is judged), a metric missing on one side, a base value that
+      is [<= 0] or non-finite, or a non-finite candidate value.
 
-    [bin/mmb_perf_diff] is the CLI; [bin/verify.sh] runs it as a
-    warn-by-default gate over the last two history entries. *)
+    [bin/mmb_perf_diff] is the CLI. *)
 
 type status = Pass | Regression | Incomparable
 
 type finding = { f_id : string; f_status : status; f_detail : string }
 
-type report = {
-  base_label : string;
-  cand_label : string;
-  findings : finding list;  (** base-entry benchmark order *)
-}
+val judge :
+  spec:string -> base:string -> cand:string -> (finding list, string) result
+(** Findings in this order: end-to-end metrics (in [BENCHMARK.json]
+    order), the failure share, then the exact counts; or the single
+    host finding when the hosts differ.  [Error] names the text that is
+    not what it should be: [spec] without its metric lists, or a run
+    output without a host or result line.  Lines of a run output that
+    are not JSON are skipped (a saved stream may carry stderr too); a
+    result line with a [NaN] literal is not JSON. *)
 
-val regressions : report -> int
-val incomparable : report -> int
+val regressions : finding list -> int
+val incomparable : finding list -> int
 
-type thresholds = {
-  max_rate_drop_pct : float;  (** events/sec may fall by at most this *)
-  max_alloc_rise_pct : float;
-      (** minor words/event may rise by at most this *)
-}
-
-val default_thresholds : thresholds
-(** 15% rate drop, 25% allocation rise — loose enough for shared-runner
-    noise, tight enough to catch a lost optimisation. *)
-
-(** {1 Loading} *)
-
-type bench = {
-  b_id : string;
-  b_events : float;
-  b_rate : float;
-  b_mw : float;  (** [nan] when the source format lacks the figure *)
-}
-
-type entry = { e_label : string; e_benches : bench list }
-
-val entries_of_string : string -> (entry list, string) result
-(** Parse a [mmb-bench-perf/1] document's entry history. *)
-
-val sidecar_of_string : label:string -> string -> (entry, string) result
-(** View one metrics sidecar as a single entry: each ["engine"] line's
-    label becomes a benchmark id with rate [events/wall_s]. *)
-
-(** {1 Entry selection} *)
-
-type selector =
-  | Index of int  (** negative counts from the end: [-1] is the newest *)
-  | Label of string  (** substring of the entry label; newest match wins *)
-
-val selector_of_string : string -> selector
-(** Integers parse as {!Index}, anything else is a {!Label}. *)
-
-val select : entry list -> selector -> (entry, string) result
-
-(** {1 Comparison} *)
-
-val compare_entries :
-  ?require_equal_events:bool ->
-  ?thresholds:thresholds ->
-  entry ->
-  entry ->
-  report
-(** [compare_entries base cand].  With [~require_equal_events:true]
-    (sidecar mode) a changed per-benchmark event count is
-    {!Incomparable} — determinism says equal work, so unequal counts
-    mean the comparison is meaningless. *)
-
-val to_lines : report -> string list
-(** Human-readable rendering, one finding per line plus a totals line. *)
+val to_lines : finding list -> string list
+(** One line per finding, [STATUS id detail], then a totals line. *)

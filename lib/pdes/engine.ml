@@ -18,46 +18,6 @@ type result = {
   trace_entries : int;
 }
 
-(* --- Barrier --------------------------------------------------------------
-
-   One generation-counted barrier drives all windows.  The coordinator
-   bumps [generation] with the window horizon published in [until];
-   workers run their partitions to the horizon and decrement [running].
-   Mutex acquire/release orders every cross-domain access to the megas,
-   mailboxes, and heaps: workers touch partition state only between the
-   generation bump and their decrement, the coordinator only while all
-   workers are parked. *)
-type barrier = {
-  mutex : Mutex.t;
-  cond : Condition.t;
-  mutable generation : int;
-  mutable until : float;
-  mutable stop : bool;
-  mutable running : int;
-}
-
-let worker_loop b run_mine =
-  let gen = ref 0 in
-  let live = ref true in
-  while !live do
-    Mutex.lock b.mutex;
-    while b.generation = !gen && not b.stop do
-      Condition.wait b.cond b.mutex
-    done;
-    let stop = b.stop in
-    let until = b.until in
-    gen := b.generation;
-    Mutex.unlock b.mutex;
-    if stop then live := false
-    else begin
-      run_mine until;
-      Mutex.lock b.mutex;
-      b.running <- b.running - 1;
-      if b.running = 0 then Condition.broadcast b.cond;
-      Mutex.unlock b.mutex
-    end
-  done
-
 (* --- Streaming trace merge -----------------------------------------------
 
    Spill files are time-ordered but not rank-ordered: within a partition
@@ -237,52 +197,24 @@ let run ~dual ?mk_dyn ~fprog ~assignment ~seed ~partitions ~domains ?trace_out
         the parallel execution run entirely on the calling domain. *)
      step (fun until -> run_partitions (List.init partitions Fun.id) until)
    else begin
-     let b =
-       {
-         mutex = Mutex.create ();
-         cond = Condition.create ();
-         generation = 0;
-         until = 0.;
-         stop = false;
-         running = 0;
-       }
-     in
+     let b = Barrier.create ~workers:(domains - 1) in
      let spawned =
        (* The worker closures deliberately capture [sims] (and, through
           the megas' callbacks, the partition state): each worker only
           touches the partitions assigned to it ([p mod domains]), and
           every cross-window access is ordered by the barrier mutex. *)
        List.init (domains - 1) (fun i ->
-           let w = i + 1 in
-           let ps = my_partitions w in
-           (* race: allow R2 *)
+           let ps = my_partitions (i + 1) in
            Domain.spawn (fun () ->
-               worker_loop b (fun until ->
-                   List.iter
-                     (fun p -> ignore (Dsim.Sim.run ~until sims.(p)))
-                     ps)))
+               Barrier.worker b ~partitions:ps (run_partitions ps)))
      in
      Fun.protect
        ~finally:(fun () ->
-         Mutex.lock b.mutex;
-         b.stop <- true;
-         Condition.broadcast b.cond;
-         Mutex.unlock b.mutex;
+         Barrier.stop b;
          List.iter Domain.join spawned)
        (fun () ->
          step (fun until ->
-             Mutex.lock b.mutex;
-             b.until <- until;
-             b.generation <- b.generation + 1;
-             b.running <- domains - 1;
-             Condition.broadcast b.cond;
-             Mutex.unlock b.mutex;
-             run_partitions mine until;
-             Mutex.lock b.mutex;
-             while b.running > 0 do
-               Condition.wait b.cond b.mutex
-             done;
-             Mutex.unlock b.mutex))
+             Barrier.window b ~partitions:mine ~until (run_partitions mine)))
    end);
   let trace_entries =
     if tracing then begin

@@ -66,6 +66,9 @@ val run :
     be deterministic — e.g. close over a schedule spec, not a shared
     mutable schedule).  Partitioning uses the base dual's G'.  Requires
     [partitions >= 1], [1 <= domains], [Fprog > 0]; raises
-    {!Domains_exceed_partitions} when [domains > partitions].  The
+    {!Domains_exceed_partitions} when [domains > partitions].  With
+    [domains >= 2], an exception raised while running a partition is
+    re-raised as {!Barrier.Partition_fault} naming the share's
+    partitions and the window, after every worker has been joined.  The
     caller is responsible for [Fprog <= Fack] (the engine acks at
     exactly [bcast + Fprog]). *)

@@ -220,6 +220,54 @@ let test_domains_exceed_partitions () =
   (* The serial delegate enforces the same contract. *)
   check_raises ~partitions:1 ~domains:2
 
+(* A share that raises on a worker domain in a later window surfaces as
+   [Partition_fault] naming its partitions and that window, and the run
+   ends instead of waiting forever on the barrier; a fault in the
+   coordinator's own share does the same. *)
+let test_partition_fault () =
+  let run_windows ~coordinator ~worker =
+    let b = Pdes.Barrier.create ~workers:1 in
+    let d =
+      Domain.spawn (fun () -> Pdes.Barrier.worker b ~partitions:[ 1; 3 ] worker)
+    in
+    Fun.protect
+      ~finally:(fun () ->
+        Pdes.Barrier.stop b;
+        Domain.join d)
+      (fun () ->
+        match
+          for w = 0 to 9 do
+            Pdes.Barrier.window b ~partitions:[ 0; 2 ] ~until:(float_of_int w)
+              coordinator
+          done
+        with
+        | () -> Alcotest.fail "expected Partition_fault"
+        | exception
+            (Pdes.Barrier.Partition_fault { partitions; window; exn; _ } as e)
+          ->
+            (partitions, window, exn, Printexc.to_string e))
+  in
+  let fault_at w until = if until >= w then failwith "injected" in
+  let check what (ps, w) (got_ps, got_w, exn, shown) =
+    Alcotest.(check (pair (list int) int))
+      (what ^ " names its partitions and window") (ps, w) (got_ps, got_w);
+    Alcotest.(check bool)
+      (what ^ " carries the original exception") true
+      (exn = Failure "injected");
+    Alcotest.(check string)
+      (what ^ " prints all three")
+      (Printf.sprintf
+         "Pdes.Barrier.Partition_fault: partitions [%s], window %d: %s"
+         (String.concat "; " (List.map string_of_int ps))
+         w
+         (Printexc.to_string (Failure "injected")))
+      shown
+  in
+  check "worker fault" ([ 1; 3 ], 2)
+    (run_windows ~coordinator:ignore ~worker:(fault_at 2.));
+  check "coordinator fault" ([ 0; 2 ], 5)
+    (run_windows ~coordinator:(fault_at 5.) ~worker:ignore)
+
 let test_fprog_above_fack_rejected () =
   let dual = Graphs.Dual.of_equal (Graphs.Gen.line 10) in
   Alcotest.check_raises "Fprog > Fack is invalid"
@@ -379,6 +427,8 @@ let suite =
           test_merged_trace_compliant;
         Alcotest.test_case "domains > partitions raises" `Quick
           test_domains_exceed_partitions;
+        Alcotest.test_case "a faulting partition raises, never hangs" `Quick
+          test_partition_fault;
         Alcotest.test_case "Fprog > Fack rejected" `Quick
           test_fprog_above_fack_rejected;
         Alcotest.test_case "scenario parses domains/partitions" `Quick

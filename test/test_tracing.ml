@@ -1,6 +1,6 @@
 (* The observability exports (lib/obs Tracing/Provenance/Perf_diff and
    lib/exec Telemetry): determinism of the trace files, the provenance
-   DAG's structural invariants, the perf-diff verdicts, and the
+   DAG's structural invariants, the ledger comparator's verdicts, and the
    zero-allocation contract of Dsim.Trace dispatch when tracing is off. *)
 
 let rec rm_rf path =
@@ -307,115 +307,156 @@ let test_campaign_telemetry_and_global_counters () =
 
 (* --- Perf diff ------------------------------------------------------------- *)
 
-let perf_entry ~label benches =
-  {
-    Obs.Perf_diff.e_label = label;
-    e_benches =
-      List.map
-        (fun (id, events, rate, mw) ->
-          { Obs.Perf_diff.b_id = id; b_events = events; b_rate = rate; b_mw = mw })
-        benches;
-  }
+(* A minimal BENCHMARK.json: two bounded end-to-end metrics plus one with
+   [better: higher], an exact count and a per-layer rate. *)
+let perf_spec =
+  {|{"end_to_end": [
+      {"name": "total_s", "unit": "s", "better": "lower", "bound": 0.25},
+      {"name": "peak_rss_mb", "unit": "MB", "better": "lower", "bound": 0.1},
+      {"name": "sims_per_s", "unit": "1/s", "better": "higher", "bound": 0.25}],
+    "per_layer": [
+      {"name": "dsim.events", "unit": "count", "better": "lower"},
+      {"name": "dsim.events_per_s", "unit": "1/s", "better": "higher"}]}|}
 
-let statuses report =
-  List.map
-    (fun f ->
-      match f.Obs.Perf_diff.f_status with
-      | Obs.Perf_diff.Pass -> "pass"
-      | Obs.Perf_diff.Regression -> "regression"
-      | Obs.Perf_diff.Incomparable -> "incomparable")
-    report.Obs.Perf_diff.findings
+(* The two stdout lines of [bench/ledger/run.py --workload W], as
+   json.dumps prints them. *)
+let ledger_out ?(nproc = 2) ?(attempted = 300) ?(failed = 0) metrics =
+  Printf.sprintf
+    "{\"host\": {\"recommended_domain_count\": 2, \"ocaml_version\": \
+     \"5.1.1\", \"nproc\": %d}}\n\
+     {\"correct\": %b, \"attempted\": %d, \"failed\": %d, \"metrics\": {%s}}\n"
+    nproc (failed = 0) attempted failed
+    (String.concat ", "
+       (List.map
+          (fun (name, v) ->
+            Printf.sprintf "\"%s\": {\"value\": %s, \"unit\": \"x\"}" name v)
+          metrics))
+
+let tag = function
+  | Obs.Perf_diff.Pass -> "pass"
+  | Obs.Perf_diff.Regression -> "regression"
+  | Obs.Perf_diff.Incomparable -> "incomparable"
+
+let verdicts base cand =
+  match Obs.Perf_diff.judge ~spec:perf_spec ~base ~cand with
+  | Error e -> Alcotest.fail e
+  | Ok fs -> List.map (fun f -> (f.Obs.Perf_diff.f_id, tag f.f_status)) fs
+
+let check_verdicts msg want got =
+  Alcotest.(check (list (pair string string))) msg want got
+
+let perf_base =
+  ledger_out
+    [ ("total_s", "2.0"); ("peak_rss_mb", "100.0"); ("sims_per_s", "40.0") ]
 
 let test_perf_diff_verdicts () =
-  let base =
-    perf_entry ~label:"base"
-      [
-        ("steady", 100., 1000., 10.);
-        ("dropped", 100., 1000., 10.);
-        ("bloated", 100., 1000., 10.);
-        ("gone", 100., 1000., 10.);
-        ("zero", 0., 0., 0.);
-      ]
+  check_verdicts "within and exactly at the bounds"
+    [
+      ("total_s", "pass");
+      ("peak_rss_mb", "pass");
+      ("sims_per_s", "pass");
+      ("failed_share", "pass");
+    ]
+    (verdicts perf_base
+       (ledger_out
+          [
+            ("total_s", "2.5"); ("peak_rss_mb", "110.0"); ("sims_per_s", "30.0");
+          ]));
+  check_verdicts "beyond the bounds, each in its own direction"
+    [
+      ("total_s", "regression");
+      ("peak_rss_mb", "regression");
+      ("sims_per_s", "regression");
+      ("failed_share", "pass");
+    ]
+    (verdicts perf_base
+       (ledger_out
+          [
+            ("total_s", "2.6"); ("peak_rss_mb", "111.0"); ("sims_per_s", "29.0");
+          ]));
+  match
+    Obs.Perf_diff.judge ~spec:perf_spec ~base:perf_base
+      ~cand:
+        (ledger_out
+           [
+             ("total_s", "1.0"); ("peak_rss_mb", "111.0"); ("sims_per_s", "99");
+           ])
+  with
+  | Error e -> Alcotest.fail e
+  | Ok fs ->
+      Alcotest.(check int)
+        "a 10% bound is tighter than a 25% one" 1
+        (Obs.Perf_diff.regressions fs);
+      Alcotest.(check int) "nothing incomparable" 0
+        (Obs.Perf_diff.incomparable fs)
+
+let test_perf_diff_failure_share () =
+  let run ~attempted ~failed =
+    ledger_out ~attempted ~failed [ ("total_s", "2.0") ]
   in
-  let cand =
-    perf_entry ~label:"cand"
-      [
-        ("steady", 100., 980., 10.);
-        ("dropped", 100., 500., 10.);
-        ("bloated", 100., 1000., 20.);
-        ("zero", 0., 0., 0.);
-      ]
-  in
-  let report = Obs.Perf_diff.compare_entries base cand in
-  Alcotest.(check (list string))
-    "verdicts"
-    [ "pass"; "regression"; "regression"; "incomparable"; "incomparable" ]
-    (statuses report);
-  Alcotest.(check int) "2 regressions" 2 (Obs.Perf_diff.regressions report);
-  Alcotest.(check int) "2 incomparable" 2 (Obs.Perf_diff.incomparable report)
+  check_verdicts "a higher failed share regresses"
+    [ ("total_s", "pass"); ("failed_share", "regression") ]
+    (verdicts (run ~attempted:300 ~failed:0) (run ~attempted:300 ~failed:3));
+  check_verdicts "an equal share passes"
+    [ ("total_s", "pass"); ("failed_share", "pass") ]
+    (verdicts (run ~attempted:300 ~failed:3) (run ~attempted:100 ~failed:1));
+  check_verdicts "nothing attempted cannot be judged"
+    [ ("total_s", "pass"); ("failed_share", "incomparable") ]
+    (verdicts (run ~attempted:300 ~failed:0) (run ~attempted:0 ~failed:0))
 
 let test_perf_diff_equal_events_gate () =
-  let base = perf_entry ~label:"b" [ ("x", 100., 1000., Float.nan) ] in
-  let cand = perf_entry ~label:"c" [ ("x", 101., 1000., Float.nan) ] in
-  let report =
-    Obs.Perf_diff.compare_entries ~require_equal_events:true base cand
+  let run events rate =
+    ledger_out [ ("dsim.events", events); ("dsim.events_per_s", rate) ]
   in
-  Alcotest.(check (list string))
-    "changed event count is incomparable" [ "incomparable" ] (statuses report);
-  let relaxed = Obs.Perf_diff.compare_entries base cand in
-  Alcotest.(check (list string))
-    "without the gate it passes" [ "pass" ] (statuses relaxed)
+  check_verdicts "a changed exact count is incomparable; rates are not judged"
+    [ ("failed_share", "pass"); ("dsim.events", "incomparable") ]
+    (verdicts (run "1000" "5e6") (run "1001" "1e6"));
+  check_verdicts "equal counts pass"
+    [ ("failed_share", "pass"); ("dsim.events", "pass") ]
+    (verdicts (run "1000" "5e6") (run "1000" "1e6"))
 
-let test_perf_diff_selectors () =
-  let entries =
+let test_perf_diff_incomparable () =
+  check_verdicts "a metric missing on one side"
+    [ ("total_s", "incomparable"); ("failed_share", "pass") ]
+    (verdicts (ledger_out [ ("total_s", "2.0") ]) (ledger_out []));
+  check_verdicts "a zero and a non-finite base"
     [
-      perf_entry ~label:"seed baseline" [];
-      perf_entry ~label:"after: PR5" [];
-      perf_entry ~label:"after: PR7" [];
+      ("total_s", "incomparable");
+      ("peak_rss_mb", "incomparable");
+      ("failed_share", "pass");
     ]
-  in
-  let label = function
-    | Ok e -> e.Obs.Perf_diff.e_label
-    | Error e -> Alcotest.fail e
-  in
-  Alcotest.(check string)
-    "-1 is the newest" "after: PR7"
-    (label (Obs.Perf_diff.select entries (Obs.Perf_diff.Index (-1))));
-  Alcotest.(check string)
-    "-2 is the previous" "after: PR5"
-    (label (Obs.Perf_diff.select entries (Obs.Perf_diff.Index (-2))));
-  Alcotest.(check string)
-    "0 is the oldest" "seed baseline"
-    (label (Obs.Perf_diff.select entries (Obs.Perf_diff.Index 0)));
-  Alcotest.(check string)
-    "label substring picks the newest match" "after: PR7"
-    (label (Obs.Perf_diff.select entries (Obs.Perf_diff.Label "after:")));
-  (match Obs.Perf_diff.select entries (Obs.Perf_diff.Index 5) with
-  | Ok _ -> Alcotest.fail "out-of-range index must fail"
-  | Error _ -> ());
-  match Obs.Perf_diff.select entries (Obs.Perf_diff.Label "nope") with
-  | Ok _ -> Alcotest.fail "unmatched label must fail"
-  | Error _ -> ()
+    (verdicts
+       (ledger_out [ ("total_s", "0"); ("peak_rss_mb", "1e999") ])
+       (ledger_out [ ("total_s", "2.0"); ("peak_rss_mb", "100.0") ]));
+  check_verdicts "a different host judges nothing else"
+    [ ("host", "incomparable") ]
+    (verdicts perf_base (ledger_out ~nproc:4 [ ("total_s", "9.0") ]))
 
-let test_perf_diff_parses_history () =
-  let text =
-    {|{"schema":"mmb-bench-perf/1","entries":[
-       {"label":"a","mode":"full","results":[
-         {"id":"x","events":10,"wall_s":1,"events_per_sec":10,
-          "minor_words_per_event":2,"heap_high_water":1}]},
-       {"label":"b","mode":"full","results":[
-         {"id":"x","events":10,"wall_s":1,"events_per_sec":11,
-          "minor_words_per_event":2,"heap_high_water":1}]}]}|}
+let test_perf_diff_parses_bench_output () =
+  (* Shaped exactly like a run.py stdout, with a stderr line mixed in. *)
+  let out =
+    {|{"host": {"recommended_domain_count": 2, "ocaml_version": "5.1.1", "wall_clock": "CLOCK_MONOTONIC", "cpu_clock": "times(2) user+sys, whole process", "nproc": 2, "python_wall_clock": "time.monotonic (CLOCK_MONOTONIC)", "python_cpu_clock": "wait4 rusage user+sys, whole child process"}}
+ledger: failure: none
+{"correct": true, "attempted": 300, "failed": 0, "metrics": {"total_s": {"value": 2.0188, "unit": "s"}, "peak_rss_mb": {"value": 15.78, "unit": "MB"}}}
+|}
   in
-  match Obs.Perf_diff.entries_of_string text with
-  | Error e -> Alcotest.fail e
-  | Ok entries ->
-      Alcotest.(check int) "two entries" 2 (List.length entries);
-      let report =
-        Obs.Perf_diff.compare_entries (List.nth entries 0) (List.nth entries 1)
-      in
-      Alcotest.(check (list string)) "faster is fine" [ "pass" ]
-        (statuses report)
+  check_verdicts "a run judged against itself passes"
+    [
+      ("total_s", "pass"); ("peak_rss_mb", "pass"); ("failed_share", "pass");
+    ]
+    (verdicts out out);
+  let host_only = List.hd (String.split_on_char '\n' out) in
+  let result_only = List.nth (String.split_on_char '\n' out) 2 in
+  List.iter
+    (fun (what, spec, base) ->
+      match Obs.Perf_diff.judge ~spec ~base ~cand:out with
+      | Ok _ -> Alcotest.failf "%s must be an error" what
+      | Error _ -> ())
+    [
+      ("no result line", perf_spec, host_only);
+      ("no host line", perf_spec, result_only);
+      ("a spec without metric lists", "{}", out);
+    ]
 
 let suite =
   [
@@ -442,11 +483,13 @@ let suite =
         Alcotest.test_case "campaign telemetry and Obs.Global counters" `Slow
           test_campaign_telemetry_and_global_counters;
         Alcotest.test_case "perf-diff verdicts" `Quick test_perf_diff_verdicts;
+        Alcotest.test_case "perf-diff failure share" `Quick
+          test_perf_diff_failure_share;
         Alcotest.test_case "perf-diff equal-events gate" `Quick
           test_perf_diff_equal_events_gate;
-        Alcotest.test_case "perf-diff entry selectors" `Quick
-          test_perf_diff_selectors;
-        Alcotest.test_case "perf-diff parses bench history" `Quick
-          test_perf_diff_parses_history;
+        Alcotest.test_case "perf-diff incomparable cases" `Quick
+          test_perf_diff_incomparable;
+        Alcotest.test_case "perf-diff parses bench output" `Quick
+          test_perf_diff_parses_bench_output;
       ] );
   ]

@@ -948,7 +948,10 @@ let campaign_cmd =
       & info [ "cache-dir" ] ~docv:"DIR" ~doc)
   in
   let no_cache_arg =
-    let doc = "Run every scenario even if cached." in
+    let doc =
+      "Run every scenario: read and write neither the result cache nor \
+       the resume manifest of an earlier run."
+    in
     Arg.(value & flag & info [ "no-cache" ] ~doc)
   in
   let salt_arg =
@@ -1037,17 +1040,21 @@ let campaign_cmd =
         if no_cache then None else Some (Exec.Cache.create ~dir:cache_dir)
       in
       let manifest =
-        let key =
-          Digest.to_hex
-            (Digest.string
-               (String.concat "\n"
-                  (List.map (fun j -> Exec.Job.digest ~salt j) job_list)))
-        in
-        Filename.concat "_campaign" (Printf.sprintf "campaign-%s.jsonl" key)
+        if no_cache then None
+        else
+          let key =
+            Digest.to_hex
+              (Digest.string
+                 (String.concat "\n"
+                    (List.map (fun j -> Exec.Job.digest ~salt j) job_list)))
+          in
+          Some
+            (Filename.concat "_campaign"
+               (Printf.sprintf "campaign-%s.jsonl" key))
       in
       let jobs = Exec.Pool.resolve_jobs ~requested:jobs in
       let outcomes, stats =
-        Exec.Campaign.run ~jobs ~salt ?cache ~manifest ~clock:wall_clock
+        Exec.Campaign.run ~jobs ~salt ?cache ?manifest ~clock:wall_clock
           job_list
       in
       Array.iter (fun o -> print_string o.Exec.Campaign.output) outcomes;

@@ -178,15 +178,32 @@ sys.exit(not want <= got)" "$T/diff"'
     # purely from (seed, epoch), so job order cannot matter).
     gate "dyn suite (test dyn)" \
       sh -c 'cd _build/default/test && ./test_main.exe test dyn'
-    # Distinct salts give each invocation its own digests, cache, and
-    # resume manifest, so both actually execute (nothing is replayed).
+    # --no-cache reads neither the cache nor a resume manifest that an
+    # earlier run left under ./_campaign/, so both invocations execute
+    # every cell.
     gate "campaign determinism (churn_line --jobs 1 vs 4)" \
       sh -c 'T=$(mktemp -d) && trap "rm -rf $T" 0 &&
         dune exec bin/mmb_sim.exe -- campaign scenarios/churn_line.json \
-          --jobs 1 --cache-dir "$T/c1" --salt v1 > "$T/out1" &&
+          --jobs 1 --no-cache > "$T/out1" 2> "$T/err1" &&
         dune exec bin/mmb_sim.exe -- campaign scenarios/churn_line.json \
-          --jobs 4 --cache-dir "$T/c4" --salt v4 > "$T/out2" &&
+          --jobs 4 --no-cache > "$T/out2" 2> "$T/err2" &&
+        cat "$T/err1" "$T/err2" &&
+        ! grep -q " [1-9][0-9]* resumed" "$T/err1" "$T/err2" &&
         cmp "$T/out1" "$T/out2"'
+    # --no-cache must run every cell even where a completed campaign's
+    # resume manifest (_campaign/ under the working directory) exists,
+    # and the fresh run must print the same report.
+    gate "campaign --no-cache reruns every cell (churn_line, same directory)" \
+      sh -c 'T=$(mktemp -d) && trap "rm -rf $T" 0 &&
+        dune build bin/mmb_sim.exe && R=$(pwd) &&
+        cd "$T" &&
+        "$R/_build/default/bin/mmb_sim.exe" campaign \
+          "$R/scenarios/churn_line.json" --jobs 1 > out1 2> err1 &&
+        "$R/_build/default/bin/mmb_sim.exe" campaign \
+          "$R/scenarios/churn_line.json" --no-cache --jobs 2 > out2 2> err2 &&
+        cat err2 &&
+        grep -Eq " ([0-9]+) cells .* \1 ran, 0 cached, 0 resumed" err2 &&
+        cmp out1 out2'
     # The partitioned engine's core promise: with the partition count P
     # fixed, the worker-domain count must not change a single trace byte.
     # The 4-domain run also gets randomized hash seeds so any
@@ -217,6 +234,7 @@ sys.exit(not want <= got)" "$T/diff"'
     skip "dune build @fixtures" "run with --full"
     skip "dyn suite (test dyn)" "run with --full"
     skip "campaign determinism (churn_line --jobs 1 vs 4)" "run with --full"
+    skip "campaign --no-cache reruns every cell (churn_line, same directory)" "run with --full"
     skip "pdes determinism (--partitions 4: --domains 1 vs 4 trace bytes)" "run with --full"
     skip "pdes determinism (grid --partitions 4: --domains 1 vs 4 trace bytes)" "run with --full"
   fi

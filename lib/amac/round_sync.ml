@@ -17,31 +17,24 @@ let policy ~mode =
     (* Reliable deliveries are planned at Fack: the round-boundary abort
        always preempts them, so receptions flow through the watchdog
        (Minimal) or the early G'-wide deliveries (Generous). *)
-    let g_deliveries =
-      Array.to_list
-        (Array.map
-           (fun receiver -> { receiver; delay = ctx.bc_fack })
-           ctx.bc_g_neighbors)
-    in
     match mode with
-    | Minimal -> { ack_delay = ctx.bc_fack; deliveries = g_deliveries }
+    | Minimal ->
+        {
+          ack_delay = ctx.bc_fack;
+          deliveries =
+            Schedulers.deliveries_at ctx.bc_fack ctx.bc_g_neighbors [];
+        }
     | Generous ->
         let early = 0.5 *. ctx.bc_fprog in
         {
           ack_delay = ctx.bc_fack;
           deliveries =
-            Array.to_list
-              (Array.map
-                 (fun receiver -> { receiver; delay = early })
-                 ctx.bc_g_neighbors)
-            @ Array.to_list
-                (Array.map
-                   (fun receiver -> { receiver; delay = early })
-                   ctx.bc_g'_only_neighbors);
+            Schedulers.deliveries_at early ctx.bc_g_neighbors
+              (Schedulers.deliveries_at early ctx.bc_g'_only_neighbors []);
         }
   in
   let forced ctx =
-    Dsim.Rng.pick ctx.Mac_intf.fc_rng (Array.of_list ctx.Mac_intf.fc_candidates)
+    Dsim.Rng.pick_list ctx.Mac_intf.fc_rng ctx.Mac_intf.fc_candidates
   in
   {
     Mac_intf.pol_name =
@@ -68,7 +61,7 @@ let create ~mac () =
       next_env_uid = 0;
     }
   in
-  let g = Graphs.Dual.reliable (Standard_mac.dual mac) in
+  let dual = Standard_mac.dual mac in
   for node = 0 to n - 1 do
     Standard_mac.attach mac ~node
       {
@@ -76,7 +69,7 @@ let create ~mac () =
           (fun ~src body ->
             let uid = t.next_env_uid in
             t.next_env_uid <- uid + 1;
-            let reliable = Graphs.Graph.mem_edge g src node in
+            let reliable = Graphs.Dual.is_reliable dual src node in
             t.inbox.(node) <-
               Message.make ~uid ~src ~reliable body :: t.inbox.(node));
         on_ack = (fun _ -> ());

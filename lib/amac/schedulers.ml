@@ -1,7 +1,7 @@
 open Mac_intf
 
-let deliveries_at delay nodes =
-  Array.fold_right (fun receiver acc -> { receiver; delay } :: acc) nodes []
+let deliveries_at delay nodes tail =
+  Array.fold_right (fun receiver acc -> { receiver; delay } :: acc) nodes tail
 
 let eager ?(latency_frac = 0.1) () =
   let plan ctx =
@@ -10,7 +10,7 @@ let eager ?(latency_frac = 0.1) () =
       ack_delay = delay;
       deliveries =
         deliveries_at delay ctx.bc_g_neighbors
-        @ deliveries_at delay ctx.bc_g'_only_neighbors;
+          (deliveries_at delay ctx.bc_g'_only_neighbors []);
     }
   in
   let forced ctx = List.hd ctx.fc_candidates in
@@ -61,7 +61,7 @@ let adversarial () =
   let plan ctx =
     {
       ack_delay = ctx.bc_fack;
-      deliveries = deliveries_at ctx.bc_fack ctx.bc_g_neighbors;
+      deliveries = deliveries_at ctx.bc_fack ctx.bc_g_neighbors [];
     }
   in
   let forced ctx =

@@ -16,6 +16,12 @@
       (wasting the delivery) or, failing that, one from an unreliable-only
       edge (injecting an out-of-pipeline message from far away). *)
 
+val deliveries_at :
+  float -> int array -> Mac_intf.delivery list -> Mac_intf.delivery list
+(** [deliveries_at delay receivers tail] plans one delivery at [delay] to
+    each of [receivers], in array order, ahead of [tail]: a plan's
+    delivery list built with no intermediate copies. *)
+
 val eager : ?latency_frac:float -> unit -> 'msg Mac_intf.policy
 (** [latency_frac] (default [0.1]) scales deliveries/acks to
     [latency_frac *. fprog]. *)

@@ -1,10 +1,14 @@
-(* Binary min-heap over (time, seq) keys.  Heap position [i] holds a
-   time [times.(i)] and a slot [slots.(i)] into the entry table
-   ([entries], with each entry's seq in [seq_of]).  Sifts move only
-   these two flat arrays, so no sift level stores a pointer or pays the
-   write barrier; an entry is written into the table once, at push.
-   The comparator is [@inline] so the moving time stays an unboxed
-   local: out of line, it would box the float at every level.
+(* Binary min-heap over (time, seq) keys.  Heap position [i] holds the
+   key [times.(i)], [seqs.(i)] and a slot [slots.(i)] into the entry
+   table ([entries]).  Sifts move only these three flat arrays, so no
+   sift level stores a pointer or pays the write barrier, and a
+   comparison reads both key halves at the position itself; an entry is
+   written into the table once, at push.  The comparator is [@inline]
+   and its arguments are annotated, so the moving time stays an unboxed
+   local and [<] is a float compare: out of line, it would box the float
+   at every level.  The sifts index without bounds checks: every
+   position they touch is below [size], and [size] never exceeds the
+   arrays' length.
 
    A popped entry's slot goes on a free-slot stack kept in [slots]
    itself, at positions [size .. n_slots - 1] (the ones the heap just
@@ -14,10 +18,13 @@
    die with their simulation.
 
    The handle [push] returns IS the entry, so [cancel] is an O(1) field
-   write.  Cancellation stays lazy: a dead entry keeps its position
-   until it surfaces at the root, where the one shared drain
-   ([drop_dead]) discards it.  [live] counts only non-cancelled entries
-   so [length] stays exact. *)
+   write.  A dead entry keeps its position until it surfaces at the
+   root, where the one shared drain ([drop_dead]) discards it, or until
+   dead entries both exceed [compact_min] and outnumber live ones: then
+   [compact] drops them all in one pass and Floyd-heapifies the
+   survivors in place.  Every key is unique, so the pop sequence is a
+   function of the live keys alone and compaction cannot change it.
+   [live] counts only non-cancelled entries so [length] stays exact. *)
 
 type 'a entry = { value : 'a; mutable alive : bool }
 
@@ -26,7 +33,7 @@ type 'a handle = 'a entry
 type 'a t = {
   mutable times : float array; (* heap position -> time *)
   mutable slots : int array; (* heap position -> slot, then free slots *)
-  mutable seq_of : int array; (* slot -> insertion counter *)
+  mutable seqs : int array; (* heap position -> insertion counter *)
   mutable entries : 'a entry array; (* slot -> entry *)
   mutable size : int; (* used heap positions, including dead entries *)
   mutable n_slots : int; (* slots handed out: [size] used + free *)
@@ -37,45 +44,51 @@ type 'a t = {
 }
 
 let create () =
-  { times = [||]; slots = [||]; seq_of = [||]; entries = [||]; size = 0;
+  { times = [||]; slots = [||]; seqs = [||]; entries = [||]; size = 0;
     n_slots = 0; live = 0; next_seq = 0; high_water = 0; n_cancelled = 0 }
 
 let length t = t.live
+let depth t = t.size
 let is_empty t = t.live = 0
 let high_water t = t.high_water
 let pushes t = t.next_seq
 let cancelled t = t.n_cancelled
 
 (* Does key [(time, seq)] sort before the key at heap position [i]? *)
-let[@inline] before t time seq i =
-  let ti = t.times.(i) in
-  time < ti || (time = ti && seq < t.seq_of.(t.slots.(i)))
+let[@inline] before (times : float array) (seqs : int array) (time : float)
+    (seq : int) i =
+  let ti = Array.unsafe_get times i in
+  time < ti || (time = ti && seq < Array.unsafe_get seqs i)
 
-(* Hole-based sifts: carry the moving (time, slot) pair in registers and
-   write it once at its final position, instead of swapping pairwise. *)
-let sift_up t start time slot =
-  let seq = t.seq_of.(slot) in
+(* Hole-based sifts: carry the moving (time, seq, slot) triple in
+   registers and write it once at its final position, instead of
+   swapping pairwise.  The arrays are read into locals once, so the
+   loop does not reload the mutable fields. *)
+let sift_up t start time seq slot =
+  let times = t.times and seqs = t.seqs and slots = t.slots in
   let i = ref start in
   let stop = ref false in
   while (not !stop) && !i > 0 do
     let parent = (!i - 1) / 2 in
-    if before t time seq parent then begin
-      t.times.(!i) <- t.times.(parent);
-      t.slots.(!i) <- t.slots.(parent);
+    if before times seqs time seq parent then begin
+      Array.unsafe_set times !i (Array.unsafe_get times parent);
+      Array.unsafe_set seqs !i (Array.unsafe_get seqs parent);
+      Array.unsafe_set slots !i (Array.unsafe_get slots parent);
       i := parent
     end
     else stop := true
   done;
-  t.times.(!i) <- time;
-  t.slots.(!i) <- slot
+  Array.unsafe_set times !i time;
+  Array.unsafe_set seqs !i seq;
+  Array.unsafe_set slots !i slot
 
-(* Re-seat the element at heap position [from] (the old last one) from
-   the root down. *)
-let sift_down t from =
-  let time = t.times.(from) and slot = t.slots.(from) in
-  let seq = t.seq_of.(slot) in
+let sift_down t hole from =
+  let times = t.times and seqs = t.seqs and slots = t.slots in
+  let time = Array.unsafe_get times from
+  and seq = Array.unsafe_get seqs from
+  and slot = Array.unsafe_get slots from in
   let n = t.size in
-  let i = ref 0 in
+  let i = ref hole in
   let stop = ref false in
   while not !stop do
     let l = (2 * !i) + 1 in
@@ -83,19 +96,47 @@ let sift_down t from =
     else begin
       let r = l + 1 in
       let c =
-        if r < n && before t t.times.(r) t.seq_of.(t.slots.(r)) l then r
+        if r < n
+           && before times seqs (Array.unsafe_get times r) (Array.unsafe_get seqs r) l
+        then r
         else l
       in
-      if before t time seq c then stop := true
+      if before times seqs time seq c then stop := true
       else begin
-        t.times.(!i) <- t.times.(c);
-        t.slots.(!i) <- t.slots.(c);
+        Array.unsafe_set times !i (Array.unsafe_get times c);
+        Array.unsafe_set seqs !i (Array.unsafe_get seqs c);
+        Array.unsafe_set slots !i (Array.unsafe_get slots c);
         i := c
       end
     end
   done;
-  t.times.(!i) <- time;
-  t.slots.(!i) <- slot
+  Array.unsafe_set times !i time;
+  Array.unsafe_set seqs !i seq;
+  Array.unsafe_set slots !i slot
+
+(* Dead entries below which the lazy root drain alone is used. *)
+let compact_min = 32
+
+(* Partition the heap positions into live entries [0, w) and dead ones
+   [w, size) by swapping slots, so the dead slots join the free-slot
+   stack just below the slots already free; then heapify bottom-up. *)
+let compact t =
+  let w = ref 0 in
+  for i = 0 to t.size - 1 do
+    let s = t.slots.(i) in
+    if t.entries.(s).alive then begin
+      let w' = !w in
+      t.times.(w') <- t.times.(i);
+      t.seqs.(w') <- t.seqs.(i);
+      t.slots.(i) <- t.slots.(w');
+      t.slots.(w') <- s;
+      w := w' + 1
+    end
+  done;
+  t.size <- !w;
+  for i = (t.size / 2) - 1 downto 0 do
+    sift_down t i i
+  done
 
 let grow t e =
   let cap = Array.length t.slots in
@@ -107,7 +148,7 @@ let grow t e =
   in
   t.times <- extend t.times 0.;
   t.slots <- extend t.slots 0;
-  t.seq_of <- extend t.seq_of 0;
+  t.seqs <- extend t.seqs 0;
   (* The new entry fills the fresh slots: no sentinel value needed. *)
   t.entries <- extend t.entries e
 
@@ -123,26 +164,28 @@ let push t ~time value =
     end
   in
   t.entries.(slot) <- e;
-  t.seq_of.(slot) <- t.next_seq;
-  t.next_seq <- t.next_seq + 1;
+  let seq = t.next_seq in
+  t.next_seq <- seq + 1;
   t.size <- t.size + 1;
   t.live <- t.live + 1;
   if t.live > t.high_water then t.high_water <- t.live;
-  sift_up t (t.size - 1) time slot;
+  sift_up t (t.size - 1) time seq slot;
   e
 
 let cancel t e =
   if e.alive then begin
     e.alive <- false;
     t.live <- t.live - 1;
-    t.n_cancelled <- t.n_cancelled + 1
+    t.n_cancelled <- t.n_cancelled + 1;
+    let dead = t.size - t.live in
+    if dead > compact_min && dead > t.live then compact t
   end
 
 let pop_root t =
   let slot = t.slots.(0) in
   let last = t.size - 1 in
   t.size <- last;
-  if last > 0 then sift_down t last;
+  if last > 0 then sift_down t 0 last;
   t.slots.(last) <- slot;
   t.entries.(slot)
 

@@ -8,7 +8,9 @@
 
     A handle is an opaque reference to the inserted entry itself, so
     {!cancel} is a single field write (no lookup table); cancelled entries
-    are discarded lazily when they reach the root. *)
+    are discarded lazily when they reach the root, or all at once (in
+    place, amortised O(1) per cancel) as soon as they outnumber the live
+    ones, so the heap stays at most about twice as deep as {!length}. *)
 
 type 'a t
 (** A mutable min-heap holding values of type ['a]. *)
@@ -21,6 +23,11 @@ val create : unit -> 'a t
 
 val length : 'a t -> int
 (** Number of live (non-cancelled) entries. *)
+
+val depth : 'a t -> int
+(** Heap positions in use: the live entries plus the cancelled ones not
+    yet discarded.  Right after a {!cancel} that removes an entry, the
+    cancelled entries still held never outnumber [max 32 (length h)]. *)
 
 val is_empty : 'a t -> bool
 (** [is_empty h] is [length h = 0]. *)

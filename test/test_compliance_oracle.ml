@@ -216,10 +216,9 @@ let streamed ~dual ~fack ~fprog ?eps_abort ?allow_open tr =
 let fack = 6.
 let fprog = 1.
 
-(* A BMMB execution on a random small dual (3-9 nodes), under one of the
-   three standard policies, over a static or a churned unreliable layer. *)
-let execution ~seed ~policy ~churn =
-  let rng = Dsim.Rng.create ~seed in
+(* A random small dual (3-9 nodes): a line, ring, star or G(n, 0.4)
+   reliable graph plus up to five unreliable edges. *)
+let random_dual rng =
   let n = 3 + Dsim.Rng.int rng 7 in
   let g =
     match Dsim.Rng.int rng 4 with
@@ -228,16 +227,20 @@ let execution ~seed ~policy ~churn =
     | 2 -> Graphs.Gen.star n
     | _ -> Graphs.Gen.gnp rng ~n ~p:0.4
   in
-  let dual =
-    Graphs.Dual.arbitrary_random rng ~g ~extra:(Dsim.Rng.int rng 6)
-  in
-  let dyn =
-    if churn then
-      Some
-        (Dyn.Dual.of_schedule
-           (Dyn.Schedule.churn ~base:dual ~epoch_len:2. ~rate:0.5 ~seed))
-    else None
-  in
+  Graphs.Dual.arbitrary_random rng ~g ~extra:(Dsim.Rng.int rng 6)
+
+(* A fresh churn schedule over [dual]'s unreliable layer. *)
+let churned ~seed dual =
+  Dyn.Dual.of_schedule
+    (Dyn.Schedule.churn ~base:dual ~epoch_len:2. ~rate:0.5 ~seed)
+
+(* A BMMB execution on a random small dual, under one of the three
+   standard policies, over a static or a churned unreliable layer. *)
+let execution ~seed ~policy ~churn =
+  let rng = Dsim.Rng.create ~seed in
+  let dual = random_dual rng in
+  let n = Graphs.Dual.n dual in
+  let dyn = if churn then Some (churned ~seed dual) else None in
   let policy =
     match policy with
     | 0 -> Amac.Schedulers.eager ()

@@ -215,6 +215,55 @@ let test_manifest_salt_mismatch_restarts () =
   Alcotest.(check int) "stale-salt manifest is discarded, not replayed" 2
     s.Exec.Campaign.ran
 
+(* [mmb_sim campaign --no-cache] must run every scenario, even in a
+   directory whose resume manifest already holds the completed campaign
+   (it once replayed all of them and ran nothing). *)
+let test_cli_no_cache_skips_manifest () =
+  let dir = fresh_path "no_cache" in
+  Exec.Cache.mkdir_p dir;
+  (* Both are dependencies of the test stanza, next to test_main.exe in
+     the build tree. *)
+  let self =
+    if Filename.is_relative Sys.executable_name then
+      Filename.concat (Sys.getcwd ()) Sys.executable_name
+    else Sys.executable_name
+  in
+  let root = Filename.dirname (Filename.dirname self) in
+  let exe = Filename.concat root "bin/mmb_sim.exe" in
+  let scenario = Filename.concat root "scenarios/churn_line.json" in
+  let read path =
+    let ic = open_in_bin (Filename.concat dir path) in
+    Fun.protect
+      ~finally:(fun () -> close_in ic)
+      (fun () -> really_input_string ic (in_channel_length ic))
+  in
+  let campaign flags tag =
+    let rc =
+      Sys.command
+        (Printf.sprintf "cd %s && %s campaign %s %s > %s.out 2> %s.err"
+           (Filename.quote dir) (Filename.quote exe) (Filename.quote scenario)
+           flags tag tag)
+    in
+    Alcotest.(check int) (tag ^ " exit code") 0 rc;
+    (read (tag ^ ".out"), read (tag ^ ".err"))
+  in
+  let contains s sub =
+    let n = String.length sub in
+    let rec go i =
+      i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+    in
+    go 0
+  in
+  let out1, err1 = campaign "--jobs 1" "first" in
+  Alcotest.(check bool) "first run executes all four cells" true
+    (contains err1 "4 ran, 0 cached, 0 resumed");
+  let out2, err2 = campaign "--no-cache --jobs 2" "again" in
+  Alcotest.(check bool)
+    ("--no-cache runs every cell, resumes none: " ^ err2)
+    true
+    (contains err2 "4 ran, 0 cached, 0 resumed");
+  Alcotest.(check string) "same report either way" out1 out2
+
 (* --- Job keying ------------------------------------------------------------ *)
 
 let test_canonical_key_order_invariance () =
@@ -281,5 +330,12 @@ let suite =
           test_canonical_key_order_invariance;
         Alcotest.test_case "sink capture nesting" `Quick
           test_sink_capture_nests;
+      ] );
+    (* A suite of its own: it runs the built CLI, which the
+       ThreadSanitizer build of the [exec] suite does not build. *)
+    ( "cli.campaign",
+      [
+        Alcotest.test_case "campaign --no-cache skips the manifest" `Quick
+          test_cli_no_cache_skips_manifest;
       ] );
   ]

@@ -17,18 +17,42 @@ let golden_two_line () =
   | Some tr -> Dsim.Trace_io.to_jsonl tr
   | None -> Alcotest.fail "no trace"
 
+(* FMMB over the continuous backend: rounds built from abort and timers
+   on [Standard_mac] under the Generous round-sync policy, the MAC path
+   the ledger's FMMB cell takes.  Pins every bcast, rcv and abort of the
+   three stage engines (each restarts its clock and instance uids). *)
+let golden_fmmb_continuous () =
+  let n = 16 in
+  let rng = Dsim.Rng.create ~seed:3 in
+  let dual =
+    Graphs.Dual.grey_zone_connected rng ~n ~width:2.5 ~height:2.5 ~c:2.
+      ~p:0.4 ~max_tries:500
+  in
+  let assignment = [ (0, 0); (7, 1); (12, 2) ] in
+  let trace = Dsim.Trace.create () in
+  let tracker = Mmb.Problem.tracker ~dual assignment in
+  let params = Mmb.Fmmb.default_params ~n ~k:(List.length assignment) ~c:2. in
+  let res =
+    Mmb.Fmmb.run ~dual ~fprog:1. ~rng
+      ~policy:(Amac.Enhanced_mac.minimal_random ())
+      ~params ~assignment ~tracker ~trace
+      ~backend:(Mmb.Fmmb.Continuous Amac.Round_sync.Generous) ()
+  in
+  if not res.Mmb.Fmmb.complete then Alcotest.fail "fmmb run incomplete";
+  Dsim.Trace_io.to_jsonl trace
+
 let read_file path =
   let ic = open_in path in
   Fun.protect
     ~finally:(fun () -> close_in ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-let test_two_line_golden () =
-  let expected = read_file "golden/two_line_d5_seed0.jsonl" in
-  let actual = golden_two_line () in
+(* Compare with the committed file at [path], naming the first
+   differing line on failure. *)
+let check_golden ~path actual =
+  let expected = read_file path in
   if String.equal expected actual then ()
   else begin
-    (* Locate the first differing line for a useful failure message. *)
     let el = String.split_on_char '\n' expected in
     let al = String.split_on_char '\n' actual in
     let rec first_diff i = function
@@ -42,10 +66,17 @@ let test_two_line_golden () =
     | Some (line, e, a) ->
         Alcotest.failf
           "golden trace diverged at line %d:\n  expected: %s\n  actual:   %s\n\
-           (regenerate test/golden/two_line_d5_seed0.jsonl if intentional)"
-          line e a
+           (regenerate test/%s if intentional)"
+          line e a path
     | None -> Alcotest.fail "golden trace length mismatch"
   end
+
+let test_two_line_golden () =
+  check_golden ~path:"golden/two_line_d5_seed0.jsonl" (golden_two_line ())
+
+let test_fmmb_continuous_golden () =
+  check_golden ~path:"golden/fmmb_continuous_seed3.jsonl"
+    (golden_fmmb_continuous ())
 
 let test_golden_is_compliant () =
   (* The committed trace itself must satisfy the five axioms. *)
@@ -69,5 +100,7 @@ let suite =
           test_two_line_golden;
         Alcotest.test_case "committed trace is axiom-compliant" `Quick
           test_golden_is_compliant;
+        Alcotest.test_case "continuous-backend fmmb trace is stable" `Quick
+          test_fmmb_continuous_golden;
       ] );
   ]
